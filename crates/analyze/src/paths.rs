@@ -26,6 +26,12 @@
 //!   [`PrimePathSet::truncated`] flag so downstream consumers know the
 //!   denominator is a lower bound.
 //!
+//! The work itself is kept allocation-free: worklist paths are
+//! parent-pointer records in one arena with a 64-bit block mask for the
+//! repeat check, only terminal candidates become `Vec`s, and a
+//! fingerprint set of every contiguous subpath of the kept paths lets
+//! most candidates skip the exact subsumption scan.
+//!
 //! Feasibility is intersected with sparse constant propagation: a prime
 //! path is *feasible* only if every block on it is constprop-reachable and
 //! every branch-to-successor step uses a statically-feasible edge. The
@@ -38,7 +44,7 @@
 //! block order, digests are FNV-1a-64 over little-endian block indices,
 //! and [`PrimePathSet::to_json`] is byte-identical across invocations.
 
-use std::collections::VecDeque;
+use std::collections::HashSet;
 
 use px_isa::{encode_program, Instruction, Program};
 use px_util::{fnv1a64, hex64, Json};
@@ -139,63 +145,89 @@ impl PrimePathSet {
             .collect();
 
         // Worklist extension: FIFO order makes truncation deterministic.
-        let mut work: VecDeque<Vec<u32>> = (0..nb as u32)
+        // Work items live in a parent-pointer arena appended in push
+        // order, so the FIFO is the arena itself and popping a path is
+        // advancing `next`; only terminal candidates become `Vec`s.
+        let mut arena: Vec<Step> = (0..nb as u32)
             .filter(|&b| reachable[b as usize])
-            .map(|b| vec![b])
+            .map(|b| Step {
+                parent: NO_PARENT,
+                block: b,
+                first: b,
+                len: 1,
+                mask: block_bit(b),
+            })
             .collect();
         let mut candidates: Vec<Vec<u32>> = Vec::new();
         let mut truncated = false;
         let mut budget = limits.max_work;
-        while let Some(p) = work.pop_front() {
+        let mut next = 0usize;
+        while next < arena.len() {
             if budget == 0 || candidates.len() >= limits.max_candidates {
                 truncated = true;
                 break;
             }
             budget -= 1;
-            let last = *p.last().expect("worklist paths are non-empty");
+            let p = arena[next];
+            let pi = next as u32;
+            next += 1;
             let mut extended = false;
-            for &s in &bsuccs[last as usize] {
-                if s == p[0] {
+            for &s in &bsuccs[p.block as usize] {
+                if s == p.first {
                     // Closing the cycle: [p, s] is a terminal candidate and
                     // p itself is one of its subpaths.
-                    let mut cyc = p.clone();
-                    cyc.push(s);
-                    candidates.push(cyc);
+                    candidates.push(materialize(&arena, pi, Some(s)));
                     extended = true;
-                } else if !p.contains(&s) {
-                    let mut q = p.clone();
-                    q.push(s);
-                    work.push_back(q);
+                } else if !on_path(&arena, pi, s) {
+                    arena.push(Step {
+                        parent: pi,
+                        block: s,
+                        first: p.first,
+                        len: p.len + 1,
+                        mask: p.mask | block_bit(s),
+                    });
                     extended = true;
                 }
             }
             if !extended {
-                candidates.push(p);
+                candidates.push(materialize(&arena, pi, None));
             }
         }
+        // Free the arena before the filter allocates its own tables.
+        drop(arena);
 
         // Maximality: drop candidates that are contiguous subpaths of a
         // longer candidate. Longest-first makes checking against the kept
-        // set sufficient (subpath-of is transitive); the per-block index
-        // keeps the scan to paths sharing the candidate's first block.
+        // set sufficient (subpath-of is transitive). Every contiguous
+        // subpath of a kept path is fingerprinted, so a candidate whose
+        // fingerprint is absent is kept without a scan; on a hit the exact
+        // scan, over kept paths sharing the candidate's first block,
+        // decides.
         candidates.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
         let mut kept: Vec<Vec<u32>> = Vec::new();
         let mut by_block: Vec<Vec<u32>> = vec![Vec::new(); nb];
+        let mut subpaths: HashSet<u64> = HashSet::new();
         for c in candidates {
-            let anchor = c[0] as usize;
-            let subsumed = by_block[anchor]
-                .iter()
-                .any(|&ki| is_subpath(&c, &kept[ki as usize]));
-            if subsumed {
-                continue;
+            if subpaths.contains(&block_digest(&c)) {
+                let anchor = c[0] as usize;
+                if by_block[anchor]
+                    .iter()
+                    .any(|&ki| is_subpath(&c, &kept[ki as usize]))
+                {
+                    continue;
+                }
             }
             let ki = kept.len() as u32;
             for (i, &b) in c.iter().enumerate() {
                 // A cycle repeats its first block; register it once.
-                if i + 1 == c.len() && c.len() > 1 && b == c[0] {
-                    continue;
+                if !(i + 1 == c.len() && c.len() > 1 && b == c[0]) {
+                    by_block[b as usize].push(ki);
                 }
-                by_block[b as usize].push(ki);
+                let mut h = 0u64;
+                for &x in &c[i..] {
+                    h = fnv1a64(h, &x.to_le_bytes());
+                    subpaths.insert(h);
+                }
             }
             kept.push(c);
         }
@@ -210,13 +242,9 @@ impl PrimePathSet {
             .into_iter()
             .map(|seq| {
                 let feasible = path_feasible(program, analysis, blocks, &seq);
-                let mut d = 0u64;
-                for &b in &seq {
-                    d = fnv1a64(d, &b.to_le_bytes());
-                }
                 PrimePath {
+                    digest: block_digest(&seq),
                     blocks: seq,
-                    digest: d,
                     feasible,
                 }
             })
@@ -292,7 +320,7 @@ impl PrimePathSet {
         self.truncated
     }
 
-    /// Longest kept path, in blocks (the runtime matcher's window bound).
+    /// Longest kept path, in blocks.
     #[must_use]
     pub fn max_len(&self) -> usize {
         self.max_len
@@ -528,6 +556,63 @@ impl PathCover {
             ),
         ])
     }
+}
+
+/// `Step::parent` of a length-1 seed path.
+const NO_PARENT: u32 = u32::MAX;
+
+/// One worklist path in the enumeration arena: `block` appended to the
+/// path at arena index `parent`.
+#[derive(Clone, Copy)]
+struct Step {
+    parent: u32,
+    block: u32,
+    /// First block of the path (the block that closes a prime cycle).
+    first: u32,
+    len: u32,
+    /// Union of [`block_bit`] over the path's blocks: a clear bit proves a
+    /// block absent without walking the parent chain.
+    mask: u64,
+}
+
+fn block_bit(b: u32) -> u64 {
+    1 << (b % 64)
+}
+
+/// Whether block `b` lies on the arena path ending at `i`.
+fn on_path(arena: &[Step], mut i: u32, b: u32) -> bool {
+    if arena[i as usize].mask & block_bit(b) == 0 {
+        return false;
+    }
+    while i != NO_PARENT {
+        let s = &arena[i as usize];
+        if s.block == b {
+            return true;
+        }
+        i = s.parent;
+    }
+    false
+}
+
+/// The block sequence of the arena path ending at `i`, plus `close` (the
+/// block that closes a cycle) when given.
+fn materialize(arena: &[Step], i: u32, close: Option<u32>) -> Vec<u32> {
+    let len = arena[i as usize].len as usize;
+    let mut seq = vec![0u32; len];
+    let mut at = i;
+    for slot in seq.iter_mut().rev() {
+        let s = &arena[at as usize];
+        *slot = s.block;
+        at = s.parent;
+    }
+    seq.extend(close);
+    seq
+}
+
+/// FNV-1a-64 over block indices as little-endian `u32`s, from seed 0 —
+/// the path digest, and the subpath fingerprint of the maximality filter.
+fn block_digest(seq: &[u32]) -> u64 {
+    seq.iter().fold(0, |h, b| fnv1a64(h, &b.to_le_bytes()))
 }
 
 /// Whether `needle` occurs as a contiguous subsequence of `hay`.

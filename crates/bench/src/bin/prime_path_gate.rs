@@ -11,7 +11,9 @@
 //! `--check` exits non-zero unless every acceptance criterion holds — the
 //! form scripts/verify.sh and CI run.
 
-use px_bench::experiments::prime::{prime_path_gate_with, ENUM_BUDGET_MS, GATE_MANIFEST};
+use px_bench::experiments::prime::{
+    prime_path_gate_with, ENUM_BUDGET_MS, GATE_MANIFEST, ROSTER_DIGEST,
+};
 
 fn usage() -> ! {
     eprintln!(
@@ -85,7 +87,7 @@ fn main() {
             report.total, report.manifest, report.families
         );
         println!(
-            "  enumeration: 2 sweeps in {} ms (budget {} ms, {}; {} truncated)",
+            "  enumeration: 2 sweeps in {} ms (budget {} ms, {}; {} programs truncated)",
             report.enum_ms,
             report.enum_budget_ms,
             if report.enum_deterministic {
@@ -93,7 +95,17 @@ fn main() {
             } else {
                 "NONDETERMINISTIC"
             },
-            report.truncated_families
+            report.truncated_programs
+        );
+        println!(
+            "  roster digest {:016x} (pin {:016x}, {})",
+            report.roster_digest,
+            ROSTER_DIGEST,
+            if report.roster_digest == ROSTER_DIGEST {
+                "match"
+            } else {
+                "MISMATCH"
+            }
         );
         println!(
             "  digest serial={:016x} parallel={:016x} ({})",

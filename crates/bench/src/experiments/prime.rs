@@ -4,11 +4,13 @@
 //! End-to-end proof that the prime-path coverage metric is trustworthy at
 //! campaign scale:
 //!
-//! 1. **Enumeration is deterministic and bounded.** Every zoo roster
-//!    family's [`px_analyze::PrimePathSet`] is enumerated twice; the JSON
-//!    renderings must be byte-identical and the digests equal, and the
-//!    whole sweep must finish inside a hard wall-time budget (the caps in
-//!    `PathLimits` are what make this bound safe to enforce).
+//! 1. **Enumeration is deterministic, bounded and pinned.** Every zoo
+//!    roster program (each family compiled for each tool) has its
+//!    [`px_analyze::PrimePathSet`] enumerated twice; the JSON renderings
+//!    must be byte-identical, the whole sweep must finish inside a hard
+//!    wall-time budget (the caps in `PathLimits` are what make this bound
+//!    safe to enforce), and the combined digest must equal
+//!    [`ROSTER_DIGEST`] — two runs that are wrong the same way fail it.
 //! 2. **The metric survives the campaign machinery.** The
 //!    `zoo-roster:quick` manifest is run twice — serial (1 worker) and
 //!    parallel (4 workers) — and both aggregate digests, which fold the
@@ -26,7 +28,7 @@ use std::time::Instant;
 use px_analyze::Analysis;
 use px_campaign::{journal, run, Aggregate, CampaignConfig, Manifest};
 use px_detect::Tool;
-use px_util::{hex64, Json, ToJson};
+use px_util::{fnv1a64, hex64, Json, ToJson};
 use px_workloads::zoo;
 
 /// The gate manifest: every quick-roster family through the campaign pool.
@@ -37,6 +39,13 @@ pub const GATE_MANIFEST: &str = "zoo-roster:quick";
 /// linear in roster size; this bound is generous for release builds and is
 /// the gate's defence against an accidentally exponential enumerator.
 pub const ENUM_BUDGET_MS: u64 = 5_000;
+
+/// The pinned combined roster enumeration digest: FNV-1a-64, from seed 0,
+/// of each `PrimePathSet::digest()` as little-endian bytes, over
+/// `zoo::roster()` × `Tool::ALL` in that order. Any change to what
+/// enumeration computes — limits, worklist order, maximality,
+/// feasibility, the set digest itself — moves it.
+pub const ROSTER_DIGEST: u64 = 0xacc0_dc39_0e27_8c97;
 
 /// What E17 measured.
 #[derive(Debug, Clone)]
@@ -53,8 +62,11 @@ pub struct PrimePathGateReport {
     pub enum_budget_ms: u64,
     /// Both enumeration sweeps rendered byte-identical JSON per family.
     pub enum_deterministic: bool,
-    /// Families whose enumeration hit a cap (informational).
-    pub truncated_families: u64,
+    /// Roster programs (family × tool) whose enumeration hit a cap
+    /// (informational).
+    pub truncated_programs: u64,
+    /// Combined enumeration digest of the roster (see [`ROSTER_DIGEST`]).
+    pub roster_digest: u64,
     /// Aggregate digest of the 1-worker campaign leg.
     pub digest_serial: u64,
     /// Aggregate digest of the 4-worker campaign leg.
@@ -72,6 +84,7 @@ impl PrimePathGateReport {
     #[must_use]
     pub fn passed(&self) -> bool {
         self.enum_deterministic
+            && self.roster_digest == ROSTER_DIGEST
             && self.enum_ms <= self.enum_budget_ms
             && self.digest_serial == self.digest_parallel
             && self.merge_commutes
@@ -90,7 +103,9 @@ impl PrimePathGateReport {
             ("enum_ms", self.enum_ms.to_json()),
             ("enum_budget_ms", self.enum_budget_ms.to_json()),
             ("enum_deterministic", self.enum_deterministic.to_json()),
-            ("truncated_families", self.truncated_families.to_json()),
+            ("truncated_programs", self.truncated_programs.to_json()),
+            ("roster_digest", Json::Str(hex64(self.roster_digest))),
+            ("roster_digest_pin", Json::Str(hex64(ROSTER_DIGEST))),
             ("digest_serial", Json::Str(hex64(self.digest_serial))),
             ("digest_parallel", Json::Str(hex64(self.digest_parallel))),
             ("prime_keys", self.prime_keys.to_json()),
@@ -101,21 +116,26 @@ impl PrimePathGateReport {
     }
 }
 
-/// One enumeration sweep over the roster: per-family `PrimePathSet` JSON
-/// (the determinism witness) plus the truncation count.
-fn enumerate_roster() -> (Vec<String>, u64) {
+/// One enumeration sweep over the roster: per-program `PrimePathSet`
+/// JSON (the determinism witness), the truncation count and the combined
+/// digest [`ROSTER_DIGEST`] pins.
+fn enumerate_roster() -> (Vec<String>, u64, u64) {
     let mut renders = Vec::new();
     let mut truncated = 0u64;
+    let mut digest = 0u64;
     for spec in zoo::roster() {
         let w = zoo::generate(&spec);
-        let compiled = w
-            .compile_for(Tool::ALL[0])
-            .unwrap_or_else(|e| panic!("{spec}: {e}"));
-        let set = Analysis::of(&compiled.program).prime_paths(&compiled.program);
-        truncated += u64::from(set.truncated());
-        renders.push(set.to_json().dump());
+        for tool in Tool::ALL {
+            let compiled = w
+                .compile_for(tool)
+                .unwrap_or_else(|e| panic!("{spec} ({}): {e}", tool.name()));
+            let set = Analysis::of(&compiled.program).prime_paths(&compiled.program);
+            truncated += u64::from(set.truncated());
+            digest = fnv1a64(digest, &set.digest().to_le_bytes());
+            renders.push(set.to_json().dump());
+        }
     }
-    (renders, truncated)
+    (renders, truncated, digest)
 }
 
 /// Runs the E17 gate on `manifest_spec` with an explicit enumeration
@@ -130,11 +150,11 @@ fn enumerate_roster() -> (Vec<String>, u64) {
 pub fn prime_path_gate_with(manifest_spec: &str, enum_budget_ms: u64) -> PrimePathGateReport {
     // Leg 1: double enumeration sweep under the wall-time budget.
     let t0 = Instant::now();
-    let (first, truncated_families) = enumerate_roster();
-    let (second, _) = enumerate_roster();
+    let (first, truncated_programs, roster_digest) = enumerate_roster();
+    let (second, _, _) = enumerate_roster();
     let enum_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
     let enum_deterministic = first == second;
-    let families = first.len() as u64;
+    let families = zoo::roster().len() as u64;
 
     // Leg 2: the campaign, serial and parallel.
     let manifest = Manifest::parse(manifest_spec).unwrap_or_else(|e| panic!("gate manifest: {e}"));
@@ -183,7 +203,8 @@ pub fn prime_path_gate_with(manifest_spec: &str, enum_budget_ms: u64) -> PrimePa
         enum_ms,
         enum_budget_ms,
         enum_deterministic,
-        truncated_families,
+        truncated_programs,
+        roster_digest,
         digest_serial,
         digest_parallel: reports[1].digest(),
         prime_keys: reports[0].aggregate.prime.len() as u64,

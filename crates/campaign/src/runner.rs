@@ -104,22 +104,29 @@ fn decoded_cache(program: &Program) -> Arc<DecodedProgram> {
 /// Enumerating prime paths (and proving their feasibility) is pure per
 /// program, and the campaign pool replays each zoo program once per tool
 /// and worker — so the plan is built once and every case matches against
-/// the same digest table, which is what makes shards mergeable.
+/// the same trie, which is what makes shards mergeable.
+///
+/// Enumeration runs *outside* the lock, as in [`compiled_zoo`], so two
+/// workers on different cold programs enumerate in parallel. Two threads
+/// racing on the same cold key build identical plans; first insert wins.
 fn path_plan_cache(program: &Program) -> Option<Arc<PathPlan>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Option<Arc<PathPlan>>>>> = OnceLock::new();
+    type Cache = Mutex<HashMap<u64, Option<Arc<PathPlan>>>>;
+    static CACHE: OnceLock<Cache> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let key = fnv1a64(
         fnv1a64(0, &encode_program(&program.code)),
         &program.entry.to_le_bytes(),
     );
-    let mut map = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
+    if let Some(hit) = cache.lock().expect("path-plan cache poisoned").get(&key) {
+        return hit.clone();
+    }
+    let set = px_analyze::Analysis::of(program).prime_paths(program);
+    let plan = pathexpander::plan_paths(&set).ok().map(Arc::new);
+    cache
         .lock()
-        .expect("path-plan cache poisoned");
-    map.entry(key)
-        .or_insert_with(|| {
-            let set = px_analyze::Analysis::of(program).prime_paths(program);
-            pathexpander::plan_paths(&set).ok().map(Arc::new)
-        })
+        .expect("path-plan cache poisoned")
+        .entry(key)
+        .or_insert(plan)
         .clone()
 }
 

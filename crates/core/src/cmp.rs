@@ -334,7 +334,7 @@ fn run_cmp_inner<const PROFILE: bool>(
     let mut tracking: Option<(&PathPlan, PathTrail, PathCoverage)> = px
         .path_plan
         .as_deref()
-        .map(|p| (p, PathTrail::for_plan(p), p.new_coverage()));
+        .map(|p| (p, PathTrail::default(), p.new_coverage()));
     if let Some((p, taken_trail, cov)) = &mut tracking {
         taken_trail.enter_pc(p, cov, program.entry);
     }
@@ -721,9 +721,8 @@ fn run_cmp_inner<const PROFILE: bool>(
                                         // uniform post-step entry below puts
                                         // the architectural target on the
                                         // taken trail.
-                                        let trail = path
-                                            .trail
-                                            .get_or_insert_with(|| PathTrail::for_plan(p));
+                                        let trail =
+                                            path.trail.get_or_insert_with(PathTrail::default);
                                         trail.copy_from(taken_trail);
                                         trail.enter_pc(p, cov, path.state.pc);
                                     }

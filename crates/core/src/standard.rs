@@ -203,8 +203,8 @@ fn run_standard_inner(
         px.path_plan.as_deref().map(|p| {
             (
                 p,
-                PathTrail::for_plan(p),
-                PathTrail::for_plan(p),
+                PathTrail::default(),
+                PathTrail::default(),
                 p.new_coverage(),
             )
         });

@@ -5,20 +5,20 @@
 //! layering rule keeps px-mach below px-analyze, so everything here is
 //! plain data handed down by px-core:
 //!
-//! * [`PathPlan`] — the immutable lookup side: the sorted block-start
-//!   table (pc → block index) and an FNV-digest → path-index map over the
-//!   *feasible* enumerated paths only. Covered ⊆ feasible holds by
-//!   construction — an NT-path can physically traverse a
-//!   statically-infeasible path, but it can never be *counted*, mirroring
-//!   `Coverage::branch_coverage_feasible`.
-//! * [`PathTrail`] — a sliding window of candidate path suffixes over the
+//! * [`PathPlan`] — the immutable lookup side: a dense pc → block table
+//!   and a trie over the block sequences of the *feasible* enumerated
+//!   paths only. Covered ⊆ feasible holds by construction — an NT-path can
+//!   physically traverse a statically-infeasible path, but it can never be
+//!   *counted*, mirroring `Coverage::branch_coverage_feasible`.
+//! * [`PathTrail`] — a sliding window of candidate path prefixes over the
 //!   stream of block entries. Each live window is a *simple* segment of
-//!   the recent trace; entering a block kills every window in which it
-//!   would repeat an interior block (this pruning is the loop collapse:
-//!   a hot loop's second iteration kills all windows spanning the first,
-//!   so windows never grow past one unrolling), closes windows that start
-//!   with the entered block as prime-cycle candidates, and bounds window
-//!   length by the plan's longest path.
+//!   the recent trace standing at a trie node; a window dies as soon as
+//!   its node has no child (no feasible path can still match it), and
+//!   entering a block kills every window in which it would repeat an
+//!   interior block (this pruning is the loop collapse: a hot loop's
+//!   second iteration kills all windows spanning the first, so windows
+//!   never grow past one unrolling), and closes windows that start with
+//!   the entered block as prime-cycle candidates.
 //! * [`PathCoverage`] — the mergeable covered-path bitmap, shard-shippable
 //!   exactly like `Coverage` (`pack_bits`/`unpack_bits`, commutative
 //!   [`PathCoverage::merge`]) but keyed by the enumeration digest:
@@ -32,11 +32,27 @@
 //! [`PathCoverage`], so taken-path and timing digests are byte-identical
 //! with or without a plan.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use px_util::fnv1a64;
 
 use crate::fault::SimError;
+
+/// Marks "no node" in the root table and "no path" on a trie node.
+const NONE: u32 = u32::MAX;
+
+/// The trie's root node index.
+const ROOT: u32 = 0;
+
+/// One node of the plan's path trie: the block sequence from the root.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct TrieNode {
+    /// This node's children are `edges[first..first + n]`.
+    first: u32,
+    n: u32,
+    /// Index of the feasible path ending here, or [`NONE`].
+    path: u32,
+}
 
 /// The immutable matcher input: everything the engines need to map a
 /// stream of pcs onto enumerated prime paths. Built by px-core from a
@@ -54,48 +70,98 @@ pub struct PathPlan {
     pub n_paths: u32,
     /// Statically-feasible prime paths — the coverage denominator.
     pub feasible_total: u32,
-    /// Longest enumerated path in blocks — the matcher's window bound.
-    pub max_len: u32,
     /// Whether enumeration was truncated (denominators are lower bounds).
     pub truncated: bool,
     block_starts: Vec<u32>,
-    table: HashMap<u64, u32>,
+    /// `rank[pc]` = number of blocks starting at or before `pc`, for every
+    /// pc of the program.
+    rank: Vec<u32>,
+    /// Child of the root per block: the trie's dense first level.
+    root: Vec<u32>,
+    nodes: Vec<TrieNode>,
+    /// `(block, child node)` per trie edge, grouped by parent node.
+    edges: Vec<(u32, u32)>,
 }
 
 impl PathPlan {
     /// Builds a plan from enumeration output. `feasible` yields
-    /// `(path digest, path index)` for the feasible paths only.
+    /// `(path index, block sequence)` for the feasible paths only.
     ///
     /// # Errors
     ///
     /// Returns a typed [`SimError`] when `block_starts` is not strictly
-    /// ascending or two feasible paths share a digest (either would make
-    /// runtime matching ambiguous).
+    /// ascending, a path names a block out of range, or two feasible
+    /// paths have the same block sequence (either of the last two would
+    /// make runtime matching ambiguous).
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub fn new<'a>(
         code_len: usize,
         program_digest: u64,
         set_digest: u64,
         block_starts: Vec<u32>,
         n_paths: u32,
         feasible_total: u32,
-        max_len: u32,
         truncated: bool,
-        feasible: impl IntoIterator<Item = (u64, u32)>,
+        feasible: impl IntoIterator<Item = (u32, &'a [u32])>,
     ) -> Result<PathPlan, SimError> {
         if !block_starts.windows(2).all(|w| w[0] < w[1]) {
             return Err(SimError::Invariant("path plan block starts not ascending"));
         }
-        let mut table = HashMap::new();
-        for (digest, index) in feasible {
-            if table.insert(digest, index).is_some() {
-                return Err(SimError::Invariant("duplicate prime-path digest in plan"));
+        let nb = block_starts.len();
+        // Build with per-node child lists, then flatten them into `edges`.
+        let mut children: Vec<Vec<(u32, u32)>> = vec![Vec::new()];
+        let mut paths: Vec<u32> = vec![NONE];
+        let mut count = 0u32;
+        for (index, seq) in feasible {
+            let mut node = ROOT;
+            for &b in seq {
+                if b as usize >= nb {
+                    return Err(SimError::Invariant("prime path block out of range"));
+                }
+                let found = children[node as usize]
+                    .iter()
+                    .find(|&&(cb, _)| cb == b)
+                    .map(|&(_, c)| c);
+                node = found.unwrap_or_else(|| {
+                    let c = paths.len() as u32;
+                    children[node as usize].push((b, c));
+                    children.push(Vec::new());
+                    paths.push(NONE);
+                    c
+                });
             }
+            if paths[node as usize] != NONE {
+                return Err(SimError::Invariant("duplicate prime path in plan"));
+            }
+            paths[node as usize] = index;
+            count += 1;
         }
-        if table.len() as u32 != feasible_total {
+        if count != feasible_total {
             return Err(SimError::Invariant(
-                "path plan feasible count disagrees with its table",
+                "path plan feasible count disagrees with its paths",
             ));
+        }
+        let mut root = vec![NONE; nb];
+        for &(b, c) in &children[ROOT as usize] {
+            root[b as usize] = c;
+        }
+        let mut nodes = Vec::with_capacity(children.len());
+        let mut edges = Vec::new();
+        for (kids, path) in children.into_iter().zip(paths) {
+            nodes.push(TrieNode {
+                first: edges.len() as u32,
+                n: kids.len() as u32,
+                path,
+            });
+            edges.extend(kids);
+        }
+        let mut rank = Vec::with_capacity(code_len);
+        let mut r = 0usize;
+        for pc in 0..code_len as u32 {
+            while r < nb && block_starts[r] <= pc {
+                r += 1;
+            }
+            rank.push(r as u32);
         }
         Ok(PathPlan {
             code_len,
@@ -103,10 +169,12 @@ impl PathPlan {
             set_digest,
             n_paths,
             feasible_total,
-            max_len,
             truncated,
             block_starts,
-            table,
+            rank,
+            root,
+            nodes,
+            edges,
         })
     }
 
@@ -116,10 +184,19 @@ impl PathPlan {
         self.block_starts.len()
     }
 
+    /// Number of blocks starting at or before `pc`.
+    fn rank(&self, pc: u64) -> usize {
+        match usize::try_from(pc).ok().and_then(|i| self.rank.get(i)) {
+            Some(&r) => r as usize,
+            None => self.block_starts.partition_point(|&s| u64::from(s) <= pc),
+        }
+    }
+
     /// Block index of `pc` if `pc` is a block's first instruction.
     #[must_use]
     pub fn block_at(&self, pc: u32) -> Option<u32> {
-        self.block_starts.binary_search(&pc).ok().map(|i| i as u32)
+        let r = self.rank(u64::from(pc));
+        (r > 0 && self.block_starts[r - 1] == pc).then(|| r as u32 - 1)
     }
 
     /// Indices of the blocks whose first instruction lies in
@@ -127,17 +204,46 @@ impl PathPlan {
     /// instructions starting at `pc0` enters.
     #[must_use]
     pub fn blocks_in_range(&self, pc0: u32, n: u32) -> std::ops::Range<usize> {
-        let lo = self.block_starts.partition_point(|&s| s <= pc0);
-        let hi = self
-            .block_starts
-            .partition_point(|&s| u64::from(s) <= u64::from(pc0) + u64::from(n));
-        lo..hi
+        self.rank(u64::from(pc0))..self.rank(u64::from(pc0) + u64::from(n))
     }
 
-    /// The enumerated path index matching `digest`, if any.
+    /// The feasible path index whose block sequence is exactly `blocks`,
+    /// if any.
     #[must_use]
-    pub fn lookup(&self, digest: u64) -> Option<u32> {
-        self.table.get(&digest).copied()
+    pub fn lookup(&self, blocks: &[u32]) -> Option<u32> {
+        let mut node = ROOT;
+        for &b in blocks {
+            if b as usize >= self.n_blocks() {
+                return None;
+            }
+            node = self.child(node, b)?;
+        }
+        let path = self.nodes[node as usize].path;
+        (node != ROOT && path != NONE).then_some(path)
+    }
+
+    /// The trie node reached from `node` by block `b` (`b` in range).
+    fn child(&self, node: u32, b: u32) -> Option<u32> {
+        let c = if node == ROOT {
+            self.root[b as usize]
+        } else {
+            let n = &self.nodes[node as usize];
+            let kids = &self.edges[n.first as usize..(n.first + n.n) as usize];
+            kids.iter()
+                .find(|&&(kb, _)| kb == b)
+                .map_or(NONE, |&(_, c)| c)
+        };
+        (c != NONE).then_some(c)
+    }
+
+    /// Credits the path ending at `node`, if any; returns whether any
+    /// feasible path extends past `node`.
+    fn reach(&self, cov: &mut PathCoverage, node: u32) -> bool {
+        let n = &self.nodes[node as usize];
+        if n.path != NONE {
+            cov.record(n.path);
+        }
+        n.n > 0
     }
 
     /// A fresh, empty coverage tracker for this plan.
@@ -152,105 +258,92 @@ impl PathPlan {
 }
 
 /// Sliding-window matcher state for one execution path (the taken path,
-/// or one NT-path). Windows are `(start position, running digest)` pairs;
+/// or one NT-path). Windows are `(start position, trie node)` pairs;
 /// every live window is a simple (no-repeat) segment of the recent block
-/// trace, sorted by start position, so kills are always a front prefix
-/// of the deque.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// trace that is a proper prefix of some feasible path, sorted by start
+/// position, so interior-repeat kills are always a front prefix of the
+/// deque.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PathTrail {
-    /// `(start_pos, digest)` — window length is `pos - start_pos` after
-    /// the entry at position `pos - 1` was processed.
-    windows: VecDeque<(u64, u64)>,
-    /// Most recent position at which each block was entered
-    /// (`u64::MAX` = never). Never reset: `pos` is monotonic across
-    /// [`PathTrail::reset`], so stale values are older than every live
-    /// window and are harmless.
-    last_pos: Vec<u64>,
+    /// `(start_pos, node)` — the window covers positions `start_pos..pos`
+    /// and spells `node`'s block sequence.
+    windows: VecDeque<(u64, u32)>,
+    /// The blocks entered at positions `pos - recent.len()..pos`, reaching
+    /// back to the oldest live window's start: the only history an
+    /// interior-repeat check can need.
+    recent: VecDeque<u32>,
     /// Monotonic count of blocks entered over the trail's lifetime.
     pos: u64,
 }
 
 impl PathTrail {
-    /// A trail for `plan`'s block universe.
-    #[must_use]
-    pub fn for_plan(plan: &PathPlan) -> PathTrail {
-        PathTrail {
-            windows: VecDeque::new(),
-            last_pos: vec![u64::MAX; plan.n_blocks()],
-            pos: 0,
-        }
-    }
-
-    /// Drops all live windows (an NT-path squash). O(1): the position
-    /// counter keeps running, so per-block history needs no clearing.
+    /// Drops all live windows (an NT-path squash).
     pub fn reset(&mut self) {
         self.windows.clear();
+        self.recent.clear();
     }
 
     /// Becomes a copy of `other`, reusing allocations — an NT-path spawn
     /// inherits the taken trail so prime paths spanning the divergence
-    /// point still match.
+    /// point still match. O(live windows).
     pub fn copy_from(&mut self, other: &PathTrail) {
         self.windows.clone_from(&other.windows);
-        self.last_pos.clone_from(&other.last_pos);
+        self.recent.clone_from(&other.recent);
         self.pos = other.pos;
     }
 
     /// Records that control arrived at block `block`, extending or
     /// killing windows and crediting any matched prime path to `cov`.
     pub fn enter_block(&mut self, plan: &PathPlan, cov: &mut PathCoverage, block: u32) {
-        let b = block as usize;
-        if b >= self.last_pos.len() {
+        if block as usize >= plan.n_blocks() {
             return;
         }
         let q = self.pos;
         self.pos += 1;
-        let prev = self.last_pos[b];
-        self.last_pos[b] = q;
-
-        if prev != u64::MAX {
-            // Windows that *contain* an earlier entry of this block
+        let base = q - self.recent.len() as u64;
+        if let Some(i) = self.recent.iter().rposition(|&b| b == block) {
+            let prev = base + i as u64;
+            // Windows that *contain* the earlier entry of this block
             // strictly inside them would repeat an interior node: dead
             // without a check.
             while self.windows.front().is_some_and(|&(start, _)| start < prev) {
                 self.windows.pop_front();
             }
-            // A window that *starts* at the previous entry closes a prime
+            // A window that *starts* at the earlier entry closes a prime
             // cycle [b, ..., b]: check it, then kill it (any further
             // growth repeats b strictly inside).
-            if let Some(&(start, h)) = self.windows.front() {
+            if let Some(&(start, node)) = self.windows.front() {
                 if start == prev {
-                    let h = fnv1a64(h, &block.to_le_bytes());
-                    if let Some(idx) = plan.lookup(h) {
-                        cov.record(idx);
+                    if let Some(c) = plan.child(node, block) {
+                        plan.reach(cov, c);
                     }
                     self.windows.pop_front();
                 }
             }
         }
-        // Every surviving window extends by this block and stays simple.
-        for w in &mut self.windows {
-            w.1 = fnv1a64(w.1, &block.to_le_bytes());
-            if let Some(idx) = plan.lookup(w.1) {
-                cov.record(idx);
+        // Every surviving window extends by this block and stays simple;
+        // it lives on only while some feasible path extends it further.
+        self.windows
+            .retain_mut(|(_, node)| match plan.child(*node, block) {
+                Some(c) => {
+                    *node = c;
+                    plan.reach(cov, c)
+                }
+                None => false,
+            });
+        // And a fresh single-block window opens here.
+        if let Some(c) = plan.child(ROOT, block) {
+            if plan.reach(cov, c) {
+                self.windows.push_back((q, c));
             }
         }
-        // And a fresh single-block window opens here.
-        let h1 = fnv1a64(0, &block.to_le_bytes());
-        if let Some(idx) = plan.lookup(h1) {
-            cov.record(idx);
-        }
-        self.windows.push_back((q, h1));
-        // Length bound: a window of max_len blocks can only match paths
-        // longer than anything enumerated. Lengths decrease front-to-back
-        // (every surviving window extends every step), so this is a
-        // front-prefix pop too.
-        while self
+        self.recent.push_back(block);
+        let keep = self
             .windows
             .front()
-            .is_some_and(|&(start, _)| self.pos - start >= u64::from(plan.max_len))
-        {
-            self.windows.pop_front();
+            .map_or(0, |&(start, _)| self.pos - start);
+        while self.recent.len() as u64 > keep {
+            self.recent.pop_front();
         }
     }
 
@@ -424,14 +517,6 @@ mod tests {
     /// A plan over a hand-made block graph: `paths` lists every prime
     /// path (cycles repeat their first block); all are feasible.
     fn plan_of(n_blocks: usize, paths: &[&[u32]]) -> PathPlan {
-        let digest_of = |p: &[u32]| {
-            let mut h = 0u64;
-            for &b in p {
-                h = fnv1a64(h, &b.to_le_bytes());
-            }
-            h
-        };
-        let max_len = paths.iter().map(|p| p.len()).max().unwrap_or(0) as u32;
         PathPlan::new(
             n_blocks, // one instruction per block, starts 0..n
             0x1234,
@@ -439,44 +524,43 @@ mod tests {
             (0..n_blocks as u32).collect(),
             paths.len() as u32,
             paths.len() as u32,
-            max_len,
             false,
-            paths
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (digest_of(p), i as u32)),
+            paths.iter().enumerate().map(|(i, p)| (i as u32, *p)),
         )
         .unwrap()
     }
 
-    /// Brute-force oracle: which paths occur as contiguous subsequences
-    /// of `trace`?
-    fn oracle(paths: &[&[u32]], trace: &[u32]) -> Vec<bool> {
-        paths
-            .iter()
-            .map(|p| {
-                !p.is_empty() && trace.len() >= p.len() && trace.windows(p.len()).any(|w| w == *p)
-            })
-            .collect()
+    /// Whether `path` occurs as a contiguous subsequence of `trace`.
+    fn occurs(path: &[u32], trace: &[u32]) -> bool {
+        !path.is_empty()
+            && trace.len() >= path.len()
+            && trace.windows(path.len()).any(|w| w == path)
     }
 
-    fn run_trail(plan: &PathPlan, trace: &[u32]) -> PathCoverage {
-        let mut cov = plan.new_coverage();
-        let mut trail = PathTrail::for_plan(plan);
-        for &b in trace {
-            trail.enter_block(plan, &mut cov, b);
-        }
-        cov
+    /// Whether `seq` repeats a block other than a prime cycle's closing
+    /// repeat of its first block.
+    fn repeats_interior(seq: &[u32]) -> bool {
+        let body = if seq.len() > 1 && seq.first() == seq.last() {
+            &seq[..seq.len() - 1]
+        } else {
+            seq
+        };
+        body.iter().enumerate().any(|(i, b)| body[..i].contains(b))
     }
 
     #[test]
     fn matcher_agrees_with_brute_force_on_random_walks() {
         // Random graphs: enumerate all simple paths + cycles by brute
-        // force, keep the maximal ones, then compare matcher vs oracle
-        // on random walks.
+        // force, keep the maximal ones, then compare matcher vs oracle on
+        // random walks. Each plan holds a random subset of the prime paths
+        // (as truncation and infeasibility leave some out, so windows die
+        // in the trie) plus decoy walks that repeat an interior block,
+        // which the matcher must never credit. Walks squash (`reset`) and
+        // spawn forks (`copy_from`) at random; the oracle searches every
+        // trail's segment since its last reset.
         let mut rng = px_util::Xoshiro256::seeded(42);
         use px_util::Rng as _;
-        for case in 0..200 {
+        for case in 0..400u32 {
             let n = 2 + (rng.next_u64() % 5) as usize; // 2..=6 blocks
             let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
             for (b, s) in succs.iter_mut().enumerate() {
@@ -524,24 +608,84 @@ mod tests {
                 }
             }
             kept.sort();
-            let paths: Vec<&[u32]> = kept.iter().map(Vec::as_slice).collect();
-            let plan = plan_of(n, &paths);
-
-            // A random walk along real edges.
-            let mut trace = vec![(rng.next_u64() % n as u64) as u32];
-            for _ in 0..40 {
-                let cur = *trace.last().unwrap() as usize;
-                let s = &succs[cur];
-                trace.push(s[(rng.next_u64() % s.len() as u64) as usize]);
+            let step = |rng: &mut px_util::Xoshiro256, cur: u32| {
+                let s = &succs[cur as usize];
+                s[(rng.next_u64() % s.len() as u64) as usize]
+            };
+            let primes = kept.len();
+            for _ in 0..3 {
+                let mut walk = vec![(rng.next_u64() % n as u64) as u32];
+                for _ in 0..2 + rng.next_u64() % 5 {
+                    walk.push(step(&mut rng, *walk.last().unwrap()));
+                }
+                if repeats_interior(&walk) && !kept.contains(&walk) {
+                    kept.push(walk);
+                }
             }
-            let cov = run_trail(&plan, &trace);
-            let want = oracle(&paths, &trace);
-            for (i, &w) in want.iter().enumerate() {
+            // Every fourth case plans all prime paths; the rest ~3/4.
+            let in_plan: Vec<bool> = (0..kept.len())
+                .map(|i| i >= primes || case.is_multiple_of(4) || !rng.next_u64().is_multiple_of(4))
+                .collect();
+            let plan = PathPlan::new(
+                n,
+                0x1234,
+                0x5678,
+                (0..n as u32).collect(),
+                kept.len() as u32,
+                in_plan.iter().filter(|&&k| k).count() as u32,
+                false,
+                kept.iter()
+                    .enumerate()
+                    .filter(|&(i, _)| in_plan[i])
+                    .map(|(i, p)| (i as u32, p.as_slice())),
+            )
+            .unwrap();
+
+            let mut cov = plan.new_coverage();
+            let mut taken = PathTrail::default();
+            let mut nt = PathTrail::default();
+            let mut segments: Vec<Vec<u32>> = Vec::new();
+            let mut cur = (rng.next_u64() % n as u64) as u32;
+            taken.enter_block(&plan, &mut cov, cur);
+            let mut seg = vec![cur];
+            for _ in 0..60 {
+                match rng.next_u64() % 20 {
+                    0 => {
+                        taken.reset();
+                        segments.push(std::mem::take(&mut seg));
+                    }
+                    1..=3 => {
+                        // A spawn: the fork inherits the taken trail, runs
+                        // a few blocks of its own, and may squash midway.
+                        nt.copy_from(&taken);
+                        let mut fork = seg.clone();
+                        let mut at = cur;
+                        for _ in 0..rng.next_u64() % 8 {
+                            if rng.next_u64().is_multiple_of(16) {
+                                nt.reset();
+                                segments.push(std::mem::take(&mut fork));
+                            }
+                            at = step(&mut rng, at);
+                            nt.enter_block(&plan, &mut cov, at);
+                            fork.push(at);
+                        }
+                        segments.push(fork);
+                    }
+                    _ => {
+                        cur = step(&mut rng, cur);
+                        taken.enter_block(&plan, &mut cov, cur);
+                        seg.push(cur);
+                    }
+                }
+            }
+            segments.push(seg);
+            for (i, p) in kept.iter().enumerate() {
+                let want = in_plan[i] && i < primes && segments.iter().any(|s| occurs(p, s));
                 assert_eq!(
                     cov.is_covered(i as u32),
-                    w,
-                    "case {case}: path {:?} in trace {trace:?}",
-                    paths[i]
+                    want,
+                    "case {case}: path {p:?} (planned {}) in segments {segments:?}",
+                    in_plan[i]
                 );
             }
         }
@@ -552,7 +696,7 @@ mod tests {
         // One self-loop block: a million iterations keep O(1) windows.
         let plan = plan_of(2, &[&[0, 0], &[0, 1], &[1, 0]]);
         let mut cov = plan.new_coverage();
-        let mut trail = PathTrail::for_plan(&plan);
+        let mut trail = PathTrail::default();
         for _ in 0..1000 {
             trail.enter_block(&plan, &mut cov, 0);
             assert!(trail.windows.len() <= 2, "windows stay collapsed");
@@ -567,7 +711,7 @@ mod tests {
     fn reset_squashes_windows_but_not_coverage() {
         let plan = plan_of(3, &[&[0, 1, 2]]);
         let mut cov = plan.new_coverage();
-        let mut trail = PathTrail::for_plan(&plan);
+        let mut trail = PathTrail::default();
         trail.enter_block(&plan, &mut cov, 0);
         trail.enter_block(&plan, &mut cov, 1);
         trail.reset();
@@ -583,11 +727,11 @@ mod tests {
     fn copy_from_lets_spawned_trails_match_across_the_divergence() {
         let plan = plan_of(4, &[&[0, 1, 2], &[0, 1, 3]]);
         let mut cov = plan.new_coverage();
-        let mut taken = PathTrail::for_plan(&plan);
+        let mut taken = PathTrail::default();
         taken.enter_block(&plan, &mut cov, 0);
         taken.enter_block(&plan, &mut cov, 1);
         // Spawn: NT inherits [0,1] then diverges to 3; taken goes to 2.
-        let mut nt = PathTrail::for_plan(&plan);
+        let mut nt = PathTrail::default();
         nt.copy_from(&taken);
         nt.enter_block(&plan, &mut cov, 3);
         taken.enter_block(&plan, &mut cov, 2);
@@ -639,16 +783,24 @@ mod tests {
 
     #[test]
     fn plan_rejects_duplicate_digests_and_bad_starts() {
-        let r = PathPlan::new(2, 1, 2, vec![0, 1], 2, 2, 2, false, [(9, 0), (9, 1)]);
-        assert_eq!(
-            r,
-            Err(SimError::Invariant("duplicate prime-path digest in plan"))
+        let r = PathPlan::new(
+            2,
+            1,
+            2,
+            vec![0, 1],
+            2,
+            2,
+            false,
+            [(0, &[0u32, 1][..]), (1, &[0, 1][..])],
         );
-        let r = PathPlan::new(2, 1, 2, vec![1, 0], 0, 0, 0, false, []);
+        assert_eq!(r, Err(SimError::Invariant("duplicate prime path in plan")));
+        let r = PathPlan::new(2, 1, 2, vec![1, 0], 0, 0, false, []);
         assert_eq!(
             r,
             Err(SimError::Invariant("path plan block starts not ascending"))
         );
+        let r = PathPlan::new(2, 1, 2, vec![0, 1], 1, 1, false, [(0, &[0u32, 2][..])]);
+        assert_eq!(r, Err(SimError::Invariant("prime path block out of range")));
     }
 
     #[test]

@@ -157,7 +157,7 @@ pub fn run_baseline_traced(
     let mut monitor = MonitorArea::new();
     let mut io = io;
     let mut tracking: Option<(&PathPlan, PathTrail, PathCoverage)> =
-        plan.map(|p| (p, PathTrail::for_plan(p), p.new_coverage()));
+        plan.map(|p| (p, PathTrail::default(), p.new_coverage()));
     if let Some((p, trail, cov)) = &mut tracking {
         trail.enter_pc(p, cov, program.entry);
     }

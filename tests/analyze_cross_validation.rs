@@ -264,24 +264,24 @@ fn zoo_infeasible_edges_are_never_taken_dynamically() {
 // against the runtime matcher, in both directions of trust.
 // ---------------------------------------------------------------------------
 
-/// Every runtime-observable digest must map to exactly one enumerated
-/// prime path: feasible paths' digests look up to their own index (the
-/// plan table is injective by construction — `PathPlan::new` rejects
-/// duplicates — so this pins the digests to the *right* indices), and
-/// infeasible paths' digests must not be in the table at all, which is
-/// what makes covered ⊆ feasible hold by construction.
+/// Every runtime-observable block sequence must map to exactly one
+/// enumerated prime path: feasible paths' sequences look up to their own
+/// index (the plan trie is injective by construction — `PathPlan::new`
+/// rejects duplicates — so this pins the sequences to the *right*
+/// indices), and infeasible paths' sequences must not be in the trie at
+/// all, which is what makes covered ⊆ feasible hold by construction.
 fn assert_lookup_unambiguous(spec: &str, set: &px_analyze::PrimePathSet) {
     let plan = pathexpander::plan_paths(set).expect("plan from enumeration");
     for (idx, path) in set.paths().iter().enumerate() {
         if path.feasible {
             assert_eq!(
-                plan.lookup(path.digest),
+                plan.lookup(&path.blocks),
                 Some(idx as u32),
                 "{spec}: feasible path {idx} digest maps to a different path"
             );
         } else {
             assert_eq!(
-                plan.lookup(path.digest),
+                plan.lookup(&path.blocks),
                 None,
                 "{spec}: infeasible path {idx} digest is matchable at runtime"
             );
