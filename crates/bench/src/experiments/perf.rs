@@ -486,12 +486,17 @@ fn measure(
 
 /// Schema tag of the `--profile` histogram (`bench_report --engine cmp
 /// --profile`). Bump on any shape change.
-pub const PROFILE_SCHEMA: &str = "px-bench/uop-profile-v1";
+pub const PROFILE_SCHEMA: &str = "px-bench/uop-profile-v2";
 
 /// Per-handler micro-op histogram of one engine across the full workload
 /// matrix. Entirely architectural — retired counts and charged base cycles
 /// per [`UopKind`], no wall clock — so the emitted JSON is byte-deterministic
 /// run to run and safe to diff in CI.
+///
+/// Each workload also reports the scheduler's `grants` (min-ready scans)
+/// and `parked` (steps whose shared tail waited for its core's exact turn).
+/// Those measure the simulator, not the simulated machine, so they stay out
+/// of `profile_digest`, which folds only the order-free histogram.
 ///
 /// Only the CMP engine has a profiled entry point today
 /// ([`run_cmp_profiled`] threads a `PROFILE` const through the dispatch
@@ -510,24 +515,26 @@ pub fn profile_report(engine: &str) -> Json {
         let arch = ArchResult::from_px(program, &r);
         let rows: Vec<Json> = UopKind::ALL
             .iter()
-            .filter(|&&k| prof.count[k as usize] > 0)
+            .filter(|&&k| prof.uops.count[k as usize] > 0)
             .map(|&k| {
                 Json::obj([
                     ("uop", k.name().to_json()),
-                    ("count", prof.count[k as usize].to_json()),
-                    ("cycles", prof.cycles[k as usize].to_json()),
+                    ("count", prof.uops.count[k as usize].to_json()),
+                    ("cycles", prof.uops.cycles[k as usize].to_json()),
                 ])
             })
             .collect();
         h = fnv1a64(h, format!("{:016x}", arch.digest()).as_bytes());
-        for (c, y) in prof.count.iter().zip(&prof.cycles) {
+        for (c, y) in prof.uops.count.iter().zip(&prof.uops.cycles) {
             h = fnv1a64(fnv1a64(h, &c.to_le_bytes()), &y.to_le_bytes());
         }
         workloads.push(Json::obj([
             ("workload", name.to_json()),
             ("digest", format!("{:016x}", arch.digest()).to_json()),
-            ("uops_retired", prof.total_count().to_json()),
-            ("base_cycles", prof.total_cycles().to_json()),
+            ("uops_retired", prof.uops.total_count().to_json()),
+            ("base_cycles", prof.uops.total_cycles().to_json()),
+            ("grants", prof.grants.to_json()),
+            ("parked", prof.parked.to_json()),
             ("handlers", Json::Arr(rows)),
         ]));
     };
@@ -655,6 +662,7 @@ mod tests {
         // Branch handlers must appear on nt-heavy (a branch-driven loop).
         assert!(a.contains(r#""uop":"br.gt""#));
         assert!(a.contains(r#""profile_digest":""#));
+        assert!(a.contains(r#""grants":"#) && a.contains(r#""parked":"#));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use px_mach::{
     Btb, Checkpoint, CoreState, Coverage, Edge, FaultHook, Hierarchy, IoState, MachConfig, MemView,
     MemoEntry, MemoNote, MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, MonitorRecord,
     PathCoverage, PathKind, PathPlan, PathTrail, RecordKind, RunExit, Sandbox, SandboxView,
-    SimError, StepEnv, StepEvent, UopProfile, WatchTable, COMMITTED, MAX_MEM_BYTES,
+    SimError, Step, StepEnv, StepEvent, UopProfile, WatchTable, COMMITTED, MAX_MEM_BYTES,
 };
 
 use crate::config::PxConfig;
@@ -79,6 +79,47 @@ struct NtPath {
     /// through the scheduler instead of simulating; its sandbox and watch
     /// clone go unused.
     replay: Option<Replay>,
+    /// A step whose functional half ran ahead of the min-ready order but
+    /// whose tail touches shared state: it waits, with the core's clock at
+    /// the step's start, until the core is the exact winner.
+    pending: Option<Step>,
+}
+
+/// A primary step whose functional half has run: the step, plus — for a
+/// branch the veto chain left open — whether the random factor admitted a
+/// hot edge (`Some(_)` means the tail attempts a spawn).
+struct PrimaryTail {
+    s: Step,
+    attempt: Option<bool>,
+}
+
+impl PrimaryTail {
+    /// Whether the tail touches shared state: an L1 miss (the L2 is
+    /// shared), a monitor record, a spawn attempt (it reads the path
+    /// table), or the end of the program.
+    fn is_shared(&self, caches: &Hierarchy) -> bool {
+        self.attempt.is_some()
+            || !matches!(
+                self.s.event,
+                StepEvent::None | StepEvent::Syscall { .. } | StepEvent::Branch { .. }
+            )
+            || self
+                .s
+                .access
+                .is_some_and(|a| !caches.l1_would_hit(0, a.addr))
+    }
+}
+
+/// What a profiled CMP run observed: the micro-op histogram plus the
+/// scheduler's own counters.
+#[derive(Debug, Clone, Default)]
+pub struct CmpProfile {
+    /// Retired micro-ops and charged base cycles per kind.
+    pub uops: UopProfile,
+    /// Min-ready scans, each granting one core the slot.
+    pub grants: u64,
+    /// Steps whose shared tail waited for its core's exact turn.
+    pub parked: u64,
 }
 
 /// One slot of the copy-on-write memo (see [`PrimaryView`]).
@@ -162,7 +203,7 @@ pub fn run_cmp(program: &Program, mach: &MachConfig, px: &PxConfig, io: IoState)
         io,
         None,
         None,
-        &mut UopProfile::default(),
+        &mut CmpProfile::default(),
     )
 }
 
@@ -187,7 +228,7 @@ pub fn run_cmp_decoded(
         io,
         None,
         None,
-        &mut UopProfile::default(),
+        &mut CmpProfile::default(),
     )
 }
 
@@ -213,7 +254,7 @@ pub fn run_cmp_memo(
         io,
         None,
         Some(memo),
-        &mut UopProfile::default(),
+        &mut CmpProfile::default(),
     )
 }
 
@@ -253,22 +294,23 @@ pub fn run_cmp_with(
         io,
         fault,
         None,
-        &mut UopProfile::default(),
+        &mut CmpProfile::default(),
     )
 }
 
 /// [`run_cmp`] plus a per-handler micro-op histogram (counts and charged
-/// base cycles per [`px_isa::UopKind`]), for `bench_report --profile`. The
-/// run itself is architecturally identical to [`run_cmp`]: the profile
-/// observes simulated work and feeds nothing back.
+/// base cycles per [`px_isa::UopKind`]) and the scheduler's grant and park
+/// counts, for `bench_report --profile`. The run itself is architecturally
+/// identical to [`run_cmp`]: the profile observes simulated work and feeds
+/// nothing back.
 #[must_use]
 pub fn run_cmp_profiled(
     program: &Program,
     mach: &MachConfig,
     px: &PxConfig,
     io: IoState,
-) -> (PxRunResult, UopProfile) {
-    let mut profile = UopProfile::default();
+) -> (PxRunResult, CmpProfile) {
+    let mut profile = CmpProfile::default();
     let result = run_cmp_inner::<true>(program, None, mach, px, io, None, None, &mut profile);
     (result, profile)
 }
@@ -282,7 +324,7 @@ fn run_cmp_inner<const PROFILE: bool>(
     io: IoState,
     fault: Option<&mut dyn FaultHook>,
     shared_memo: Option<&mut MemoTable>,
-    profile: &mut UopProfile,
+    profile: &mut CmpProfile,
 ) -> PxRunResult {
     let fail = |e: SimError, io: IoState| PxRunResult {
         exit: RunExit::EngineFault(e),
@@ -438,8 +480,26 @@ fn run_cmp_inner<const PROFILE: bool>(
         })
     };
 
+    // Lookahead scheduling (DESIGN.md §8): the min-ready order matters only
+    // for step tails that touch shared state, so a core keeps running ops
+    // with core-private tails past its exact deadline, up to a horizon no
+    // shared op can invalidate. That is provable only when every op costs at
+    // least one cycle (the budget bound counts ops by cycles) and the
+    // functional half reads no shared state: a fault hook draws from one RNG
+    // in global step order, and NT-from-NT exploration uses the shared BTB.
+    let lookahead = fault.is_none() && !px.explore_nt_from_nt && cost_table.iter().all(|&c| c > 0);
+    // The primary's parked step, and the start cycle of its last retired op.
+    let mut pending0: Option<PrimaryTail> = None;
+    let mut primary_last_start: u64 = 0;
+
     'event_loop: loop {
-        if instructions >= px.max_instructions && primary_done.is_none() {
+        if instructions >= px.max_instructions
+            && primary_done.is_none()
+            // A parked step already counts against the budget and lies
+            // within it: its tail runs before the cut.
+            && pending0.is_none()
+            && paths.iter().all(|p| p.pending.is_none())
+        {
             primary_done = Some(RunExit::BudgetExhausted);
         }
         if primary_done.is_some() {
@@ -469,6 +529,9 @@ fn run_cmp_inner<const PROFILE: bool>(
                 who_path = Some(i);
             }
         }
+        if PROFILE {
+            profile.grants += 1;
+        }
 
         match who_path {
             None => {
@@ -480,104 +543,168 @@ fn run_cmp_inner<const PROFILE: bool>(
                 // and the hosted set stays put, so the inner loop retires
                 // instruction after instruction against a fixed `deadline`
                 // instead of re-entering the scheduler per instruction — an
-                // identity transformation of the min-ready schedule. Any
-                // structural event (spawn, forced commit) edits the hosted set
-                // and breaks back out to a fresh scan.
+                // identity transformation of the min-ready schedule. Past the
+                // deadline it keeps going while its tails stay private, up to
+                // the budget horizon. Any structural event (spawn, forced
+                // commit) edits the hosted set and breaks back out to a fresh
+                // scan.
                 let mut deadline = u64::MAX;
                 for &(_, c) in &hosted {
                     deadline = deadline.min(ready[c]);
                 }
+                let reach = if lookahead {
+                    deadline.max(budget_horizon(
+                        &ready,
+                        &core_busy,
+                        instructions,
+                        px.max_instructions,
+                    ))
+                } else {
+                    deadline
+                };
                 loop {
-                    // Simple micro-ops are register-only: they raise no events,
-                    // touch no memory or caches and contain no branches, so
-                    // batching them is invisible to every other core — provided
-                    // the batch covers only steps the scheduler would have
-                    // granted to the primary anyway; `simple_steps_until` cuts
-                    // the batch at the deadline.
-                    let run = dp.simple_run(primary.pc);
-                    if run > 0 {
-                        // A commit left pending by the last NT-path's death must
-                        // land here, exactly where the per-step epilogue would
-                        // have placed it: before the next cache access.
-                        if segment_dirty && paths.is_empty() {
-                            caches.commit_path(0, SEGMENT_VTAG);
-                            segment_dirty = false;
-                        }
-                        let max_n = u64::from(run).min(px.max_instructions - instructions) as u32;
-                        let n = simple_steps_until(
-                            dp,
-                            primary.pc,
-                            max_n,
-                            &cost_table,
-                            ready[0],
-                            deadline,
-                        );
-                        if PROFILE {
-                            profile.record_batch(dp, primary.pc, n, &cost_table);
-                        }
-                        let resets = crate::standard::catch_up_counter_resets(
-                            &mut taken_since_reset,
-                            px.counter_reset_interval,
-                            u64::from(n),
-                        );
-                        for _ in 0..resets {
-                            btb.reset_counters();
-                        }
-                        stats.counter_resets += resets;
-                        let pc0 = primary.pc;
-                        ready[0] += run_simple(dp, &mut primary, n, &cost_table);
-                        if let Some((p, taken_trail, cov)) = &mut tracking {
-                            taken_trail.enter_range(p, cov, pc0, n);
-                        }
-                        instructions += u64::from(n);
-                        stats.taken_instructions += u64::from(n);
-                        if n < run || instructions >= px.max_instructions || ready[0] > deadline {
-                            break;
-                        }
-                        continue;
-                    }
+                    let t = match pending0.take() {
+                        // A parked step: the primary is the exact winner now.
+                        Some(t) => t,
+                        None => {
+                            // Simple micro-ops are register-only: they raise no
+                            // events, touch no memory or caches and contain no
+                            // branches, so batching them is invisible to every
+                            // other core; `simple_steps_until` cuts the batch
+                            // at the horizon.
+                            let run = dp.simple_run(primary.pc);
+                            if run > 0 {
+                                // A commit left pending by the last NT-path's
+                                // death must land here, exactly where the
+                                // per-step epilogue would have placed it: before
+                                // the next cache access.
+                                if segment_dirty && paths.is_empty() {
+                                    caches.commit_path(0, SEGMENT_VTAG);
+                                    segment_dirty = false;
+                                }
+                                let max_n =
+                                    u64::from(run).min(px.max_instructions - instructions) as u32;
+                                let n = simple_steps_until(
+                                    dp,
+                                    primary.pc,
+                                    max_n,
+                                    &cost_table,
+                                    ready[0],
+                                    reach,
+                                );
+                                if PROFILE {
+                                    profile.uops.record_batch(dp, primary.pc, n, &cost_table);
+                                }
+                                let resets = crate::standard::catch_up_counter_resets(
+                                    &mut taken_since_reset,
+                                    px.counter_reset_interval,
+                                    u64::from(n),
+                                );
+                                for _ in 0..resets {
+                                    btb.reset_counters();
+                                }
+                                stats.counter_resets += resets;
+                                let pc0 = primary.pc;
+                                ready[0] += run_simple(dp, &mut primary, n, &cost_table);
+                                primary_last_start =
+                                    ready[0] - last_op_cost(dp, pc0, n, &cost_table);
+                                if let Some((p, taken_trail, cov)) = &mut tracking {
+                                    taken_trail.enter_range(p, cov, pc0, n);
+                                }
+                                instructions += u64::from(n);
+                                stats.taken_instructions += u64::from(n);
+                                if n < run
+                                    || instructions >= px.max_instructions
+                                    || ready[0] > reach
+                                {
+                                    break;
+                                }
+                                continue;
+                            }
 
-                    instructions += 1;
-                    // ---- Primary core step ----
+                            // ---- Primary step, functional half ----
+                            instructions += 1;
+                            if taken_since_reset >= px.counter_reset_interval {
+                                btb.reset_counters();
+                                stats.counter_resets += 1;
+                                taken_since_reset = 0;
+                            }
+                            let mut env = StepEnv {
+                                io: &mut io,
+                                watches: &mut watches,
+                                suppress_syscalls: false,
+                                now_cycles: ready[0],
+                                costs: &mach.costs,
+                                // The primary core is the containment reference:
+                                // never inject into it.
+                                fault: None,
+                            };
+                            let profiled_kind = if PROFILE {
+                                dp.op(primary.pc).map(|u| u.kind)
+                            } else {
+                                None
+                            };
+                            let s = {
+                                let mut view = PrimaryView {
+                                    memory: &mut memory,
+                                    live: &mut paths,
+                                    cow_memo: &mut cow_memo,
+                                    spawn_epoch,
+                                };
+                                step_uop(program, dp, &mut primary, &mut view, &mut env)
+                            };
+                            if let Some(kind) = profiled_kind {
+                                profile.uops.record(kind, s.base_cost);
+                            }
+                            stats.taken_instructions += 1;
+                            taken_since_reset += 1;
+                            // The BTB, taken coverage, spawn RNG and veto chain
+                            // are the primary's own; only an admission attempt
+                            // reads the path table.
+                            let mut attempt = None;
+                            if let StepEvent::Branch { pc, taken, .. } = s.event {
+                                stats.dyn_branches += 1;
+                                let edge = Edge::from_taken(taken);
+                                btb.exercise(pc, edge);
+                                taken_cov.record(pc, edge);
+                                let nt_edge = edge.other();
+                                let hot = btb.edge_count(pc, nt_edge) >= px.counter_threshold;
+                                let random_admit = hot
+                                    && px.random_factor.is_some_and(|n| {
+                                        spawn_rng ^= spawn_rng << 13;
+                                        spawn_rng ^= spawn_rng >> 7;
+                                        spawn_rng ^= spawn_rng << 17;
+                                        spawn_rng.is_multiple_of(u64::from(n))
+                                    });
+                                if in_checker(pc) {
+                                    stats.skipped_checker += 1;
+                                } else if vetoed(&static_veto, pc, nt_edge) {
+                                    stats.skipped_static += 1;
+                                } else if hot && !random_admit {
+                                    stats.skipped_hot += 1;
+                                } else {
+                                    attempt = Some(random_admit);
+                                }
+                            }
+                            let t = PrimaryTail { s, attempt };
+                            if ready[0] > deadline && t.is_shared(&caches) {
+                                if PROFILE {
+                                    profile.parked += 1;
+                                }
+                                pending0 = Some(t);
+                                break;
+                            }
+                            t
+                        }
+                    };
+
+                    // ---- Primary step, tail ----
+                    let PrimaryTail { s, attempt } = t;
+                    primary_last_start = ready[0];
+                    ready[0] += u64::from(s.base_cost);
                     // Set when this step edits the hosted set (spawn, forced
                     // commit): the inner loop's deadline is stale then.
                     let mut structural = false;
-                    if taken_since_reset >= px.counter_reset_interval {
-                        btb.reset_counters();
-                        stats.counter_resets += 1;
-                        taken_since_reset = 0;
-                    }
-                    let mut env = StepEnv {
-                        io: &mut io,
-                        watches: &mut watches,
-                        suppress_syscalls: false,
-                        now_cycles: ready[0],
-                        costs: &mach.costs,
-                        // The primary core is the containment reference: never
-                        // inject into it.
-                        fault: None,
-                    };
-                    let profiled_kind = if PROFILE {
-                        dp.op(primary.pc).map(|u| u.kind)
-                    } else {
-                        None
-                    };
-                    let s = {
-                        let mut view = PrimaryView {
-                            memory: &mut memory,
-                            live: &mut paths,
-                            cow_memo: &mut cow_memo,
-                            spawn_epoch,
-                        };
-                        step_uop(program, dp, &mut primary, &mut view, &mut env)
-                    };
-                    if let Some(kind) = profiled_kind {
-                        profile.record(kind, s.base_cost);
-                    }
-                    ready[0] += u64::from(s.base_cost);
-                    stats.taken_instructions += 1;
-                    taken_since_reset += 1;
-
                     if let Some(access) = s.access {
                         // Primary stores made while NT-paths are live are speculative
                         // segment data (they still need their sibling's squash token).
@@ -632,99 +759,83 @@ fn run_cmp_inner<const PROFILE: bool>(
                             not_taken_target,
                             ..
                         } => {
-                            stats.dyn_branches += 1;
-                            let edge = Edge::from_taken(taken);
-                            btb.exercise(pc, edge);
-                            taken_cov.record(pc, edge);
-                            let nt_edge = edge.other();
-                            let hot = btb.edge_count(pc, nt_edge) >= px.counter_threshold;
-                            let random_admit = hot
-                                && px.random_factor.is_some_and(|n| {
-                                    spawn_rng ^= spawn_rng << 13;
-                                    spawn_rng ^= spawn_rng >> 7;
-                                    spawn_rng ^= spawn_rng << 17;
-                                    spawn_rng.is_multiple_of(u64::from(n))
-                                });
-                            if in_checker(pc) {
-                                stats.skipped_checker += 1;
-                            } else if vetoed(&static_veto, pc, nt_edge) {
-                                stats.skipped_static += 1;
-                            } else if hot && !random_admit {
-                                stats.skipped_hot += 1;
-                            } else if paths.len() as u32 >= px.max_outstanding {
-                                stats.skipped_outstanding += 1;
-                            } else {
-                                if random_admit {
-                                    stats.random_spawns += 1;
-                                }
-                                structural = true;
-                                btb.exercise(pc, nt_edge);
-                                nt_cov.record(pc, nt_edge);
-                                let nt_target = if taken {
-                                    not_taken_target
+                            if let Some(random_admit) = attempt {
+                                let nt_edge = Edge::from_taken(taken).other();
+                                if paths.len() as u32 >= px.max_outstanding {
+                                    stats.skipped_outstanding += 1;
                                 } else {
-                                    taken_target
-                                };
-                                // Memo probe: a hit is admitted exactly like a
-                                // live path (id, core, sequencing, spawn
-                                // costs) but replays its recorded bundle.
-                                let hit = memo.as_deref_mut().and_then(|t| {
-                                    t.probe(pc, nt_target, &watches, &primary.regs, &memory)
-                                });
-                                admit_spawn(AdmitSpawn {
-                                    pc,
-                                    target: nt_target,
-                                    primary: &primary,
-                                    stats: &mut stats,
-                                    ready: &mut ready,
-                                    px,
-                                    mach,
-                                    io: &io,
-                                    watches: &watches,
-                                    pool: &mut pool,
-                                    paths: &mut paths,
-                                    hosted: &mut hosted,
-                                    core_busy: &mut core_busy,
-                                    next_id: &mut next_id,
-                                    next_seq: &mut next_seq,
-                                    spawn_epoch: &mut spawn_epoch,
-                                });
-                                if let Some(path) = paths.last_mut() {
-                                    match hit {
-                                        Some(entry) => {
-                                            path.replay = Some(Replay {
-                                                entry,
-                                                step: 0,
-                                                run_off: 0,
-                                            });
-                                        }
-                                        None => {
-                                            path.rec = memo.as_deref_mut().and_then(|t| {
-                                                t.should_record(pc, nt_target).then(|| {
-                                                    MemoRecorder::new(
-                                                        pc,
-                                                        nt_target,
-                                                        &watches,
-                                                        px.apply_fixes,
-                                                        t.max_reads(),
-                                                    )
-                                                })
-                                            });
+                                    if random_admit {
+                                        stats.random_spawns += 1;
+                                    }
+                                    structural = true;
+                                    btb.exercise(pc, nt_edge);
+                                    nt_cov.record(pc, nt_edge);
+                                    let nt_target = if taken {
+                                        not_taken_target
+                                    } else {
+                                        taken_target
+                                    };
+                                    // Memo probe: a hit is admitted exactly like a
+                                    // live path (id, core, sequencing, spawn
+                                    // costs) but replays its recorded bundle.
+                                    let hit = memo.as_deref_mut().and_then(|t| {
+                                        t.probe(pc, nt_target, &watches, &primary.regs, &memory)
+                                    });
+                                    admit_spawn(AdmitSpawn {
+                                        pc,
+                                        target: nt_target,
+                                        primary: &primary,
+                                        stats: &mut stats,
+                                        ready: &mut ready,
+                                        px,
+                                        mach,
+                                        io: &io,
+                                        watches: &watches,
+                                        pool: &mut pool,
+                                        paths: &mut paths,
+                                        hosted: &mut hosted,
+                                        core_busy: &mut core_busy,
+                                        next_id: &mut next_id,
+                                        next_seq: &mut next_seq,
+                                        spawn_epoch: &mut spawn_epoch,
+                                    });
+                                    if let Some(path) = paths.last_mut() {
+                                        match hit {
+                                            Some(entry) => {
+                                                path.replay = Some(Replay {
+                                                    entry,
+                                                    step: 0,
+                                                    run_off: 0,
+                                                });
+                                            }
+                                            None => {
+                                                path.rec = memo.as_deref_mut().and_then(|t| {
+                                                    t.should_record(pc, nt_target).then(|| {
+                                                        MemoRecorder::new(
+                                                            pc,
+                                                            nt_target,
+                                                            &watches,
+                                                            px.apply_fixes,
+                                                            t.max_reads(),
+                                                        )
+                                                    })
+                                                });
+                                            }
                                         }
                                     }
-                                }
-                                if let Some((p, taken_trail, cov)) = &mut tracking {
-                                    if let Some(path) = paths.last_mut() {
-                                        // Fork the NT trail *at the branch*
-                                        // (before either successor block) and
-                                        // enter the redirected target; the
-                                        // uniform post-step entry below puts
-                                        // the architectural target on the
-                                        // taken trail.
-                                        let trail =
-                                            path.trail.get_or_insert_with(PathTrail::default);
-                                        trail.copy_from(taken_trail);
-                                        trail.enter_pc(p, cov, path.state.pc);
+                                    if let Some((p, taken_trail, cov)) = &mut tracking {
+                                        if let Some(path) = paths.last_mut() {
+                                            // Fork the NT trail *at the branch*
+                                            // (before either successor block) and
+                                            // enter the redirected target; the
+                                            // uniform post-step entry below puts
+                                            // the architectural target on the
+                                            // taken trail.
+                                            let trail =
+                                                path.trail.get_or_insert_with(PathTrail::default);
+                                            trail.copy_from(taken_trail);
+                                            trail.enter_pc(p, cov, path.state.pc);
+                                        }
                                     }
                                 }
                             }
@@ -781,7 +892,7 @@ fn run_cmp_inner<const PROFILE: bool>(
                     if structural
                         || primary_done.is_some()
                         || instructions >= px.max_instructions
-                        || ready[0] > deadline
+                        || ready[0] > reach
                     {
                         break;
                     }
@@ -811,16 +922,32 @@ fn run_cmp_inner<const PROFILE: bool>(
                     }
                 }
                 let deadline = before.saturating_sub(1).min(after);
-                if paths[idx].replay.is_some() {
-                    // ---- Memo replay on core `who` ----
-                    // Same deadline mathematics as the live arm below; cache
-                    // accesses, caps and overflow are recomputed against live
-                    // state in the recorded order (see `standard.rs`), so
-                    // every cycle lands where a real simulation would put it.
-                    loop {
-                        let (stop, lost) = replay_nt_step(
+                // A live path may run private ops past the deadline too, but
+                // only ops that start before the primary's clock: the
+                // primary's next op may be shared and kill the path (forced
+                // commit, exit, crash, budget cut), and it wins ties. Memo
+                // replay stays at exact granularity.
+                let reach = if lookahead && paths[idx].replay.is_none() {
+                    let h = budget_horizon(&ready, &core_busy, instructions, px.max_instructions);
+                    deadline.max(h.min(ready[0].saturating_sub(1)))
+                } else {
+                    deadline
+                };
+                loop {
+                    let p = &mut paths[idx];
+                    // One grant retires one or more of the path's ops. It
+                    // yields the stop (when the path died), the start cycle
+                    // of its last op, and whether the core keeps the slot.
+                    let (stop, last_start, keep) = if p.replay.is_some() {
+                        // ---- Memo replay ----
+                        // Same deadline mathematics as the live path below;
+                        // cache accesses, caps and overflow are recomputed
+                        // against live state in the recorded order (see
+                        // `standard.rs`), so every cycle lands where a real
+                        // simulation would put it.
+                        replay_nt_step(
                             dp,
-                            &mut paths[idx],
+                            p,
                             who,
                             &mut caches,
                             &mut monitor,
@@ -832,136 +959,140 @@ fn run_cmp_inner<const PROFILE: bool>(
                             &mut ready[who],
                             deadline,
                             &mut instructions,
-                            tracking.as_mut().map(|(p, _, cov)| (*p, cov)),
-                        );
-                        if let Some(stop) = stop {
-                            let last = paths.len() - 1;
-                            let mut victim = paths.swap_remove(idx);
-                            hosted_after_swap_remove(&mut hosted, idx, last);
-                            finish_path(
-                                &mut victim,
-                                stop,
-                                &mut caches,
-                                &mut stats,
-                                &mut pool,
-                                memo.as_deref_mut(),
+                            tracking.as_mut().map(|(plan, _, cov)| (*plan, cov)),
+                        )
+                    } else {
+                        let run = if nt_batching && p.pending.is_none() {
+                            dp.simple_run(p.state.pc)
+                        } else {
+                            0
+                        };
+                        // Ops left before the path reaches a length cap.
+                        let cap = u64::from(px.max_nt_path_len.saturating_sub(p.executed))
+                            .min(px.nt_watchdog - u64::from(p.executed));
+                        let max_n = u64::from(run)
+                            .min(px.max_instructions - instructions)
+                            .min(cap) as u32;
+                        if max_n > 0 {
+                            let mut n = simple_steps_until(
+                                dp,
+                                p.state.pc,
+                                max_n,
+                                &cost_table,
+                                ready[who],
+                                reach,
                             );
-                            core_busy[who] = false;
-                            if let Some(started) =
-                                start_queued(&mut paths, &mut core_busy, &mut ready, who, mach)
+                            // The op that reaches a cap ends the path: a shared
+                            // tail, left to the exact winner when it would
+                            // start past the deadline.
+                            if u64::from(n) == cap
+                                && (ready[who] > deadline
+                                    || n > simple_steps_until(
+                                        dp,
+                                        p.state.pc,
+                                        n,
+                                        &cost_table,
+                                        ready[who],
+                                        deadline,
+                                    ))
                             {
-                                hosted.push((started, who));
-                                hosted.sort_unstable();
-                            }
-                            break;
-                        }
-                        if lost {
-                            break;
-                        }
-                    }
-                    continue 'event_loop;
-                }
-                loop {
-                    if nt_batching {
-                        let run = dp.simple_run(paths[idx].state.pc);
-                        if run > 0 {
-                            let p = &mut paths[idx];
-                            let max_n = u64::from(run)
-                                .min(px.max_instructions - instructions)
-                                .min(px.nt_watchdog - u64::from(p.executed))
-                                .min(u64::from(px.max_nt_path_len.saturating_sub(p.executed)))
-                                as u32;
-                            if max_n > 0 {
-                                let n = simple_steps_until(
-                                    dp,
-                                    p.state.pc,
-                                    max_n,
-                                    &cost_table,
-                                    ready[who],
-                                    deadline,
-                                );
-                                if PROFILE {
-                                    profile.record_batch(dp, p.state.pc, n, &cost_table);
-                                }
-                                let pc0 = p.state.pc;
-                                if let Some(r) = p.rec.as_mut() {
-                                    r.note_run(dp, pc0, n, &p.state.regs);
-                                }
-                                ready[who] += run_simple(dp, &mut p.state, n, &cost_table);
-                                if let Some((plan, _, cov)) = &mut tracking {
-                                    if let Some(trail) = p.trail.as_mut() {
-                                        trail.enter_range(plan, cov, pc0, n);
+                                n -= 1;
+                                if n == 0 {
+                                    if PROFILE {
+                                        profile.parked += 1;
                                     }
+                                    break;
                                 }
-                                instructions += u64::from(n);
-                                stats.nt_instructions += u64::from(n);
-                                p.executed += n;
-                                let stop = if u64::from(p.executed) >= px.nt_watchdog {
-                                    Some(NtStop::Watchdog)
-                                } else if p.executed >= px.max_nt_path_len {
-                                    Some(NtStop::MaxLength)
-                                } else {
-                                    None
-                                };
-                                if let Some(stop) = stop {
-                                    ready[who] += u64::from(mach.squash_cycles);
-                                    let last = paths.len() - 1;
-                                    let mut victim = paths.swap_remove(idx);
-                                    hosted_after_swap_remove(&mut hosted, idx, last);
-                                    finish_path(
-                                        &mut victim,
-                                        stop,
-                                        &mut caches,
-                                        &mut stats,
-                                        &mut pool,
-                                        memo.as_deref_mut(),
-                                    );
-                                    core_busy[who] = false;
-                                    if let Some(started) = start_queued(
-                                        &mut paths,
-                                        &mut core_busy,
-                                        &mut ready,
-                                        who,
+                            }
+                            if PROFILE {
+                                profile.uops.record_batch(dp, p.state.pc, n, &cost_table);
+                            }
+                            let pc0 = p.state.pc;
+                            if let Some(r) = p.rec.as_mut() {
+                                r.note_run(dp, pc0, n, &p.state.regs);
+                            }
+                            ready[who] += run_simple(dp, &mut p.state, n, &cost_table);
+                            let last_start = ready[who] - last_op_cost(dp, pc0, n, &cost_table);
+                            if let Some((plan, _, cov)) = &mut tracking {
+                                if let Some(trail) = p.trail.as_mut() {
+                                    trail.enter_range(plan, cov, pc0, n);
+                                }
+                            }
+                            instructions += u64::from(n);
+                            stats.nt_instructions += u64::from(n);
+                            p.executed += n;
+                            let stop = if u64::from(p.executed) >= px.nt_watchdog {
+                                Some(NtStop::Watchdog)
+                            } else if p.executed >= px.max_nt_path_len {
+                                Some(NtStop::MaxLength)
+                            } else {
+                                None
+                            };
+                            if stop.is_some() {
+                                ready[who] += u64::from(mach.squash_cycles);
+                            }
+                            (
+                                stop,
+                                last_start,
+                                n == run
+                                    && instructions < px.max_instructions
+                                    && ready[who] <= reach,
+                            )
+                        } else {
+                            let now = ready[who];
+                            let s = match p.pending.take() {
+                                // A parked step: this core is the exact winner now.
+                                Some(s) => s,
+                                None => {
+                                    instructions += 1;
+                                    let s = nt_exec::<PROFILE>(
+                                        program,
+                                        dp,
+                                        p,
+                                        &memory,
+                                        px,
                                         mach,
-                                    ) {
-                                        hosted.push((started, who));
-                                        hosted.sort_unstable();
+                                        now,
+                                        fault.as_mut().map(|h| h as &mut dyn FaultHook),
+                                        &mut profile.uops,
+                                    );
+                                    if now > deadline
+                                        && !nt_tail_is_private(&s, p, who, &caches, px)
+                                    {
+                                        if PROFILE {
+                                            profile.parked += 1;
+                                        }
+                                        p.pending = Some(s);
+                                        break;
                                     }
-                                    break;
+                                    s
                                 }
-                                if n < run
-                                    || instructions >= px.max_instructions
-                                    || ready[who] > deadline
-                                {
-                                    break;
-                                }
-                                continue;
-                            }
+                            };
+                            let (stop, cost) = nt_tail(
+                                s,
+                                now,
+                                dp,
+                                p,
+                                who,
+                                &mut caches,
+                                &mut monitor,
+                                &mut btb,
+                                &mut nt_cov,
+                                &mut stats,
+                                px,
+                                mach,
+                                static_veto.as_deref(),
+                                tracking.as_mut().map(|(plan, _, cov)| (*plan, cov)),
+                            );
+                            ready[who] += u64::from(cost);
+                            stats.nt_instructions += 1;
+                            (
+                                stop,
+                                now,
+                                instructions < px.max_instructions && ready[who] <= reach,
+                            )
                         }
-                    }
-
-                    instructions += 1;
-                    let (stop, cost) = step_nt_path::<PROFILE>(
-                        program,
-                        dp,
-                        &mut paths[idx],
-                        who,
-                        &memory,
-                        &mut caches,
-                        &mut monitor,
-                        &mut btb,
-                        &mut nt_cov,
-                        &mut stats,
-                        px,
-                        mach,
-                        ready[who],
-                        fault.as_mut().map(|h| h as &mut dyn FaultHook),
-                        static_veto.as_deref(),
-                        profile,
-                        tracking.as_mut().map(|(p, _, cov)| (*p, cov)),
-                    );
-                    ready[who] += u64::from(cost);
-                    stats.nt_instructions += 1;
+                    };
                     if let Some(stop) = stop {
                         let last = paths.len() - 1;
                         let mut victim = paths.swap_remove(idx);
@@ -981,9 +1112,17 @@ fn run_cmp_inner<const PROFILE: bool>(
                             hosted.push((started, who));
                             hosted.sort_unstable();
                         }
+                        // The primary's epilogue after its first op past this
+                        // death commits the segment. If that op already ran
+                        // ahead (privately, so it left no eviction to notice),
+                        // the commit is owed now.
+                        if segment_dirty && paths.is_empty() && primary_last_start > last_start {
+                            caches.commit_path(0, SEGMENT_VTAG);
+                            segment_dirty = false;
+                        }
                         break;
                     }
-                    if instructions >= px.max_instructions || ready[who] > deadline {
+                    if !keep {
                         break;
                     }
                 }
@@ -1014,6 +1153,31 @@ fn run_cmp_inner<const PROFILE: bool>(
         stats,
         path_coverage: tracking.map(|(_, _, cov)| cov),
     }
+}
+
+/// The latest start cycle `h` at which an op is sure to lie within the
+/// instruction budget in the exact min-ready order. Every op costs at least
+/// one cycle, so core `c` has at most `h + 1 - lb_c` ops left that start by
+/// `h`, where `lb_c` bounds its next start (`ready[c]`, or the primary's
+/// clock for an idle core, whose next path is spawned no earlier). Keeping
+/// the sum within `max - done` gives `h = min lb + (max - done) / cores - 1`.
+fn budget_horizon(ready: &[u64], core_busy: &[bool], done: u64, max: u64) -> u64 {
+    let lb = ready
+        .iter()
+        .zip(core_busy)
+        .map(|(&r, &busy)| if busy { r } else { r.max(ready[0]) })
+        .min()
+        .unwrap_or(0);
+    lb.saturating_add(max.saturating_sub(done) / ready.len() as u64)
+        .saturating_sub(1)
+}
+
+/// Table cost of the last op of the `n`-op simple run at `pc0`: the run's
+/// end clock minus this is the last op's start.
+fn last_op_cost(dp: &DecodedProgram, pc0: u32, n: u32, cost_table: &[u32; UOP_KIND_COUNT]) -> u64 {
+    debug_assert!(n > 0, "a granted run retires at least one op");
+    let last = dp.ops()[(pc0 + n - 1) as usize];
+    u64::from(cost_table[last.kind as usize])
 }
 
 /// Updates the hosted-core list after `paths.swap_remove(removed)`: drops
@@ -1100,6 +1264,7 @@ fn admit_spawn(s: AdmitSpawn<'_>) {
         trail: None,
         rec: None,
         replay: None,
+        pending: None,
     };
     *s.next_seq += 1;
     if let Some(c) = (1..s.mach.cores).find(|&c| !s.core_busy[c]) {
@@ -1156,6 +1321,7 @@ fn finish_path(
     pool: &mut Vec<(Sandbox, WatchTable)>,
     memo: Option<&mut MemoTable>,
 ) {
+    debug_assert!(path.pending.is_none(), "a parked step precedes every kill");
     if let Some(c) = path.core {
         caches.squash_path(c, path.id);
     }
@@ -1185,27 +1351,23 @@ fn finish_path(
     });
 }
 
+/// The functional half of one NT-path step: memo live-in notes, the
+/// interpreter step against the path's own view (registers, sandbox over
+/// the spawn-time memory image, scratch I/O and watch table) and the
+/// profile record. Touches nothing another core can observe.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
-fn step_nt_path<const PROFILE: bool>(
+fn nt_exec<const PROFILE: bool>(
     program: &Program,
     dp: &DecodedProgram,
     path: &mut NtPath,
-    core: usize,
     memory: &Memory,
-    caches: &mut Hierarchy,
-    monitor: &mut MonitorArea,
-    btb: &mut Btb,
-    nt_cov: &mut Coverage,
-    stats: &mut PxStats,
     px: &PxConfig,
     mach: &MachConfig,
     now: u64,
     fault: Option<&mut dyn FaultHook>,
-    static_veto: Option<&[[bool; 2]]>,
     profile: &mut UopProfile,
-    tracking: Option<(&PathPlan, &mut PathCoverage)>,
-) -> (Option<NtStop>, u32) {
+) -> Step {
     // NT-paths run against their spawn-time clone of the watch table
     // (mutations must not leak; hits must still fire); under the OS-sandbox
     // extension their system calls run against the path's I/O snapshot
@@ -1238,6 +1400,54 @@ fn step_nt_path<const PROFILE: bool>(
     if let Some(kind) = profiled_kind {
         profile.record(kind, s.base_cost);
     }
+    s
+}
+
+/// Whether the tail of NT step `s` is core-private: no cache access or an
+/// L1 hit (the L2 is shared), no monitor record or stop, no deferred fault,
+/// and not the op that reaches a length cap. Such a tail commutes with
+/// every other core's work, so it may run ahead of the min-ready order.
+/// (A branch tail reads the shared BTB only under NT-from-NT exploration,
+/// which runs without lookahead.)
+fn nt_tail_is_private(
+    s: &Step,
+    path: &NtPath,
+    core: usize,
+    caches: &Hierarchy,
+    px: &PxConfig,
+) -> bool {
+    s.deferred.is_none()
+        && matches!(
+            s.event,
+            StepEvent::None | StepEvent::Syscall { .. } | StepEvent::Branch { .. }
+        )
+        && path.executed + 1 < px.max_nt_path_len
+        && u64::from(path.executed) + 1 < px.nt_watchdog
+        && s.access.is_none_or(|a| caches.l1_would_hit(core, a.addr))
+}
+
+/// The tail of one NT-path step `s` that started at cycle `now`: deferred
+/// faults, the cache access, memo recording, coverage, monitor records and
+/// the stop checks. Returns the stop (when the path dies here) and the
+/// step's cost.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn nt_tail(
+    s: Step,
+    now: u64,
+    dp: &DecodedProgram,
+    path: &mut NtPath,
+    core: usize,
+    caches: &mut Hierarchy,
+    monitor: &mut MonitorArea,
+    btb: &mut Btb,
+    nt_cov: &mut Coverage,
+    stats: &mut PxStats,
+    px: &PxConfig,
+    mach: &MachConfig,
+    static_veto: Option<&[[bool; 2]]>,
+    tracking: Option<(&PathPlan, &mut PathCoverage)>,
+) -> (Option<NtStop>, u32) {
     let mut cost = s.base_cost;
     if let Some(action) = s.deferred {
         apply_deferred(
@@ -1408,8 +1618,8 @@ fn step_nt_path<const PROFILE: bool>(
 /// caps and budget. Mirrors the live arm exactly: the batch grant is cut by
 /// the same `deadline`, monitor records are stamped with the pre-step clock,
 /// `executed` ticks before the stop checks, and a squash is charged on
-/// death. Returns the stop (when the path dies here) and whether the slot
-/// loop must hand back to the scheduler.
+/// death. Returns the stop (when the path dies here), the start cycle of the
+/// last op granted, and whether the core keeps the slot.
 #[allow(clippy::too_many_arguments)]
 fn replay_nt_step(
     dp: &DecodedProgram,
@@ -1426,7 +1636,7 @@ fn replay_nt_step(
     deadline: u64,
     instructions: &mut u64,
     tracking: Option<(&PathPlan, &mut PathCoverage)>,
-) -> (Option<NtStop>, bool) {
+) -> (Option<NtStop>, u64, bool) {
     let r = path.replay.as_mut().expect("replay paths only");
     let step = r.entry.steps.get(r.step).copied();
     match step {
@@ -1435,8 +1645,9 @@ fn replay_nt_step(
             // that could pre-empt it are part of the fingerprint. Kept as a
             // defensive stop so a logic error cannot wedge the scheduler.
             debug_assert!(false, "recorded bundles end on a stop");
+            let now = *ready;
             *ready += u64::from(mach.squash_cycles);
-            (Some(NtStop::from_memo(r.entry.stop)), true)
+            (Some(NtStop::from_memo(r.entry.stop)), now, false)
         }
         Some(MemoStep::Run { pc, n: total }) => {
             let pc0 = pc + r.run_off;
@@ -1453,6 +1664,7 @@ fn replay_nt_step(
                 as u32;
             let (n, cost) = simple_cost_until(dp, pc0, max_n, cost_table, *ready, deadline);
             *ready += cost;
+            let last_start = *ready - last_op_cost(dp, pc0, n, cost_table);
             if let Some((plan, cov)) = tracking {
                 if let Some(trail) = path.trail.as_mut() {
                     trail.enter_range(plan, cov, pc0, n);
@@ -1468,14 +1680,15 @@ fn replay_nt_step(
             }
             if u64::from(path.executed) >= px.nt_watchdog {
                 *ready += u64::from(mach.squash_cycles);
-                (Some(NtStop::Watchdog), true)
+                (Some(NtStop::Watchdog), last_start, false)
             } else if path.executed >= px.max_nt_path_len {
                 *ready += u64::from(mach.squash_cycles);
-                (Some(NtStop::MaxLength), true)
+                (Some(NtStop::MaxLength), last_start, false)
             } else {
                 (
                     None,
-                    n < run || *instructions >= px.max_instructions || *ready > deadline,
+                    last_start,
+                    n == run && *instructions < px.max_instructions && *ready <= deadline,
                 )
             }
         }
@@ -1564,13 +1777,11 @@ fn replay_nt_step(
             }
             *ready += u64::from(cost);
             stats.nt_instructions += 1;
-            match stop {
-                Some(_) => (stop, true),
-                None => (
-                    None,
-                    *instructions >= px.max_instructions || *ready > deadline,
-                ),
-            }
+            (
+                stop,
+                now,
+                stop.is_none() && *instructions < px.max_instructions && *ready <= deadline,
+            )
         }
     }
 }
@@ -1915,6 +2126,43 @@ mod tests {
             assert_eq!(r.exit, clean.exit, "seed {seed}");
             assert_eq!(r.io.output(), clean.io.output(), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn private_work_runs_ahead_of_the_scan() {
+        // Once their spawn edges turn hot, the primary and the NT-paths
+        // only run register ops and private branches: the cores must stop
+        // handing the slot back and forth every cycle, and the profiled run
+        // (which counts the grants) must equal the plain one.
+        let src = r"
+            .code
+            main:
+                li r4, 3000
+                li r9, -1
+            loop:
+                subi r4, r4, 1
+                addi r5, r5, 3
+                blt r4, r9, spin    ; never taken: NT-paths spin
+                bgt r4, zero, loop
+                li r2, 0
+                exit
+            spin:
+                addi r8, r8, 1
+                jmp spin
+            ";
+        let program = assemble(src).unwrap();
+        let px = PxConfig::default().cmp();
+        let (r, prof) = run_cmp_profiled(&program, &MachConfig::default(), &px, IoState::default());
+        let plain = run_cmp(&program, &MachConfig::default(), &px, IoState::default());
+        assert_eq!(r.cycles, plain.cycles);
+        assert_eq!(r.stats.paths, plain.stats.paths);
+        let retired = r.stats.taken_instructions + r.stats.nt_instructions;
+        assert!(r.stats.nt_instructions > 5_000, "NT-paths do real work");
+        assert!(
+            prof.grants * 20 < retired,
+            "{} grants for {retired} instructions",
+            prof.grants
+        );
     }
 
     #[test]

@@ -64,6 +64,7 @@ pub mod stats;
 
 pub use cmp::{
     cmp_memo_table, run_cmp, run_cmp_decoded, run_cmp_memo, run_cmp_profiled, run_cmp_with,
+    CmpProfile,
 };
 pub use config::{Mode, PxConfig};
 pub use contain::{check_containment, differential_run, ContainmentReport, Violation};

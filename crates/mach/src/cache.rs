@@ -209,20 +209,40 @@ impl Cache {
     /// (PathExpander's gang invalidation on squash).
     ///
     /// Walks the volatile worklist rather than the whole cache: a squash
-    /// costs O(lines the path actually touched). Entries for other vtags
-    /// (CMP's concurrent paths) are kept; stale entries are dropped.
+    /// costs O(lines the path actually touched).
     pub fn gang_invalidate(&mut self, vtag: u8) -> u32 {
         debug_assert_ne!(vtag, COMMITTED, "cannot gang-invalidate committed data");
         self.mru_block = u64::MAX;
+        self.settle_volatile(vtag, |line| {
+            line.valid = false;
+            line.dirty = false;
+            line.vtag = COMMITTED;
+        })
+    }
+
+    /// Lazily commits every line tagged `vtag` by retagging it as committed
+    /// data (the CMP option's lazy commit, paper §4.3).
+    ///
+    /// Walks the volatile worklist like [`Cache::gang_invalidate`], so the
+    /// worklist stays bounded on a core that only ever commits (the CMP
+    /// primary, which is never squashed).
+    pub fn commit_vtag(&mut self, vtag: u8) -> u32 {
+        debug_assert_ne!(vtag, COMMITTED);
+        self.settle_volatile(vtag, |line| line.vtag = COMMITTED)
+    }
+
+    /// Applies `settle` to every line tagged `vtag` on the volatile worklist
+    /// (each must leave its line committed or invalid) and returns how many
+    /// there were. Compacts the worklist: entries for other vtags (CMP's
+    /// concurrent paths) are kept, stale and settled entries are dropped.
+    fn settle_volatile(&mut self, vtag: u8, settle: impl Fn(&mut Line)) -> u32 {
         let mut n = 0;
         let mut kept = 0;
         for i in 0..self.volatile_idx.len() {
             let idx = self.volatile_idx[i] as usize;
             let line = &mut self.lines[idx];
             if line.valid && line.vtag == vtag {
-                line.valid = false;
-                line.dirty = false;
-                line.vtag = COMMITTED;
+                settle(line);
                 n += 1;
             } else if line.valid && line.vtag != COMMITTED {
                 self.volatile_idx[kept] = idx as u32;
@@ -233,18 +253,18 @@ impl Cache {
         n
     }
 
-    /// Lazily commits every line tagged `vtag` by retagging it as committed
-    /// data (the CMP option's lazy commit, paper §4.3).
-    pub fn commit_vtag(&mut self, vtag: u8) -> u32 {
-        debug_assert_ne!(vtag, COMMITTED);
-        let mut n = 0;
-        for line in &mut self.lines {
-            if line.valid && line.vtag == vtag {
-                line.vtag = COMMITTED;
-                n += 1;
-            }
+    /// Whether an access to `addr` would hit, without touching LRU state,
+    /// the MRU hint or any counter.
+    #[must_use]
+    pub fn would_hit(&self, addr: u32) -> bool {
+        if u64::from(addr >> self.line_shift) == self.mru_block {
+            return true;
         }
-        n
+        let (set_idx, tag) = self.index(addr);
+        let base = set_idx * self.assoc;
+        self.lines[base..base + self.assoc]
+            .iter()
+            .any(|l| l.valid && l.tag == tag)
     }
 
     /// Number of currently volatile lines (any non-zero vtag).
@@ -439,6 +459,14 @@ impl Hierarchy {
         }
     }
 
+    /// Whether `core`'s L1 would hit on `addr` — a read-only probe: an L1
+    /// hit touches only that core's private L1 and the hit counter, never
+    /// the shared L2. Out-of-range cores never hit.
+    #[must_use]
+    pub fn l1_would_hit(&self, core: usize, addr: u32) -> bool {
+        self.l1.get(core).is_some_and(|c| c.would_hit(addr))
+    }
+
     /// Gang-invalidates all of `core`'s L1 lines tagged `vtag`; returns the
     /// number of lines dropped. Out-of-range cores drop nothing.
     pub fn squash_path(&mut self, core: usize, vtag: u8) -> u32 {
@@ -576,6 +604,43 @@ mod tests {
             c.access(0x1000, false, COMMITTED),
             Lookup::Miss { .. }
         ));
+    }
+
+    #[test]
+    fn commit_cycles_keep_the_volatile_worklist_bounded() {
+        // The CMP primary's L1 only ever commits, never squashes, so
+        // commits alone must keep the worklist within the line count.
+        let mut c = small_cache();
+        let lines = c.lines.len();
+        for round in 0..1_000u32 {
+            for k in 0..8u32 {
+                let addr = 0x1000 + ((round * 5 + k) % 12) * 32;
+                c.access(addr, k % 3 != 2, 9);
+            }
+            let volatile = c.volatile_lines();
+            assert_eq!(c.commit_vtag(9), volatile, "every volatile line commits");
+            assert_eq!(c.volatile_lines(), 0);
+            assert!(c.volatile_idx.len() <= lines, "round {round}");
+        }
+        assert!(c.volatile_idx.is_empty());
+    }
+
+    #[test]
+    fn would_hit_probes_without_side_effects() {
+        let cfg = MachConfig::default();
+        let mut h = Hierarchy::new(&cfg);
+        assert!(!h.l1_would_hit(0, 0x2000));
+        h.access(0, 0x2000, false, COMMITTED);
+        h.access(0, 0x4000, false, COMMITTED);
+        let before = h.clone();
+        assert!(h.l1_would_hit(0, 0x2004), "same line, not the MRU one");
+        assert!(h.l1_would_hit(0, 0x4000), "MRU line");
+        assert!(!h.l1_would_hit(1, 0x2000), "L1s are private");
+        assert!(!h.l1_would_hit(9, 0x2000), "out-of-range core");
+        assert_eq!(h.stats, before.stats);
+        assert_eq!(h.l1[0].clock, before.l1[0].clock);
+        assert_eq!(h.l1[0].mru_block, before.l1[0].mru_block);
+        assert!(!h.access(0, 0x2004, false, COMMITTED).l1_miss);
     }
 
     #[test]
