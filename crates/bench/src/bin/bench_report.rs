@@ -24,8 +24,8 @@ fn usage() -> ! {
          \n\
          --quick        one timed repetition per row instead of three\n\
          --no-memo      disable the NT-path replay cache for the\n\
-                        standard/cmp rows (digests are identical either\n\
-                        way; only the wall-clock columns move)\n\
+                        standard rows (the only engine with one; digests\n\
+                        are identical either way, only wall clock moves)\n\
          --json         print the report as JSON to stdout\n\
          --out PATH     write the JSON report to PATH\n\
                         (default BENCH_throughput.json unless --verify)\n\
@@ -34,7 +34,8 @@ fn usage() -> ! {
          --engine NAME  engine for --profile (only `cmp` is profiled)\n\
          --profile      emit a per-handler micro-op count/cycle histogram\n\
                         (deterministic JSON; no wall-clock, no gating)\n\
-         --memo         emit the px-bench/memo-v1 replay-cache report:\n\
+         --memo         emit the px-bench/memo-v1 replay-cache report for\n\
+                        the standard engine (the cache is standard-only):\n\
                         per-row hit rates + on/off digest identity\n\
                         (deterministic JSON; the gated form is memo_gate)"
     );

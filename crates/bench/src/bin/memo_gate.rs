@@ -1,8 +1,9 @@
 //! Runs the E18 NT-path memoization gate: the full throughput workload
-//! matrix through both PathExpander engines with the replay cache on and
-//! off. Every architectural digest must be byte-identical, and the cache
-//! must demonstrably engage on `nt-heavy` (minimum hit rate) — a gate that
-//! passes because the cache never fired proves nothing.
+//! matrix through the standard engine (the only one with a replay cache)
+//! with the cache on and off. Every architectural digest must be
+//! byte-identical, and the cache must demonstrably engage on `nt-heavy`
+//! (minimum hit rate) — a gate that passes because the cache never fired
+//! proves nothing.
 //!
 //! ```text
 //! memo_gate [--json] [--check]
@@ -46,7 +47,7 @@ fn main() {
         println!("{}", report.to_json().dump());
     } else {
         println!(
-            "memo gate: {} engine×workload differential rows (replay cache on vs off)",
+            "memo gate: {} standard-engine workload rows (replay cache on vs off)",
             report.rows.len()
         );
         for r in &report.rows {

@@ -3,16 +3,17 @@
 //! The replay cache's contract is absolute: a memoized run must be
 //! architecturally byte-identical to an unmemoized one — same exit, same
 //! instruction and cycle counts, same monitor records, same coverage.
-//! This module runs the full throughput workload matrix through both
-//! PathExpander engines twice (replay cache on / off), compares the same
-//! architectural digest `BENCH_throughput.json` gates on, and reads the
-//! cache's own counters to prove the cache actually engaged (a gate that
-//! passes because the cache never fired proves nothing).
+//! This module runs the full throughput workload matrix through the
+//! standard engine — the only one with a replay cache (EXPERIMENTS.md
+//! E18) — twice (replay cache on / off), compares the same architectural
+//! digest `BENCH_throughput.json` gates on, and reads the cache's own
+//! counters to prove the cache actually engaged (a gate that passes because
+//! the cache never fired proves nothing).
 //!
 //! Everything here is deterministic — counters and digests, no wall clock —
 //! so the emitted JSON is byte-stable and safe to diff in CI.
 
-use pathexpander::{cmp_memo_table, run_cmp_memo, run_standard_memo, standard_memo_table};
+use pathexpander::{run_standard_decoded, run_standard_memo, standard_memo_table};
 use px_isa::asm::assemble;
 use px_isa::{DecodedProgram, Program};
 use px_mach::{IoState, MachConfig};
@@ -24,14 +25,14 @@ use super::perf::{px_arch_digest, px_config, zoo_program, WORKLOADS, ZOO_WORKLOA
 /// shape change.
 pub const MEMO_SCHEMA: &str = "px-bench/memo-v1";
 
-/// Minimum replay-cache hit rate the gate demands on `nt-heavy` per engine.
-/// The workload re-spawns one cold edge with a constant-register live-in
-/// set, so nearly every spawn after the first must replay; in practice both
-/// engines sit above 0.99, and anything under this floor means the read-set
-/// validation or the fingerprint went wrong.
+/// Minimum replay-cache hit rate the gate demands on `nt-heavy`. The
+/// workload re-spawns one cold edge with a constant-register live-in set,
+/// so nearly every spawn after the first must replay; in practice the
+/// standard engine sits above 0.99, and anything under this floor means the
+/// read-set validation or the fingerprint went wrong.
 pub const MIN_NT_HEAVY_HIT_RATE: f64 = 0.90;
 
-/// One engine × workload differential measurement.
+/// One workload's differential measurement.
 #[derive(Debug, Clone)]
 pub struct MemoRow {
     pub engine: String,
@@ -82,7 +83,7 @@ impl ToJson for MemoRow {
 #[derive(Debug, Clone)]
 pub struct MemoGateReport {
     pub rows: Vec<MemoRow>,
-    /// Lowest `nt-heavy` hit rate across engines.
+    /// The `nt-heavy` hit rate.
     pub nt_heavy_hit_rate: f64,
 }
 
@@ -112,46 +113,21 @@ impl ToJson for MemoGateReport {
     }
 }
 
-/// Runs one workload through `engine` twice — replay cache on (explicit
-/// table, so the counters are readable) and off — and renders the
+/// Runs one workload through the standard engine twice — replay cache on
+/// (explicit table, so the counters are readable) and off — and renders the
 /// differential row.
-fn memo_row(engine: &str, workload: &str, program: &Program, input: &[u8]) -> MemoRow {
+fn memo_row(workload: &str, program: &Program, input: &[u8]) -> MemoRow {
     let dp = DecodedProgram::decode(program);
     let io = || IoState::new(input.to_vec(), 0xC0FFEE);
-    let (on, off, counters) = match engine {
-        "standard" => {
-            let mach = MachConfig::single_core();
-            let px = px_config();
-            let mut table = standard_memo_table(program, &mach, &px);
-            let on = run_standard_memo(program, &dp, &mach, &px, io(), &mut table);
-            let off = pathexpander::run_standard_decoded(
-                program,
-                &dp,
-                &mach,
-                &px.clone().with_nt_memo(false),
-                io(),
-            );
-            (on, off, table.counters)
-        }
-        "cmp" => {
-            let mach = MachConfig::default();
-            let px = px_config().cmp();
-            let mut table = cmp_memo_table(program, &mach, &px);
-            let on = run_cmp_memo(program, &dp, &mach, &px, io(), &mut table);
-            let off = pathexpander::run_cmp_decoded(
-                program,
-                &dp,
-                &mach,
-                &px.clone().with_nt_memo(false),
-                io(),
-            );
-            (on, off, table.counters)
-        }
-        other => panic!("unknown memo engine {other:?}"),
-    };
+    let mach = MachConfig::single_core();
+    let px = px_config();
+    let mut table = standard_memo_table(program, &mach, &px);
+    let on = run_standard_memo(program, &dp, &mach, &px, io(), &mut table);
+    let off = run_standard_decoded(program, &dp, &mach, &px.with_nt_memo(false), io());
+    let counters = table.counters;
     let digest = px_arch_digest(program, &on);
     MemoRow {
-        engine: engine.to_owned(),
+        engine: "standard".to_owned(),
         workload: workload.to_owned(),
         spawns: on.stats.spawns,
         hits: counters.hits,
@@ -162,36 +138,28 @@ fn memo_row(engine: &str, workload: &str, program: &Program, input: &[u8]) -> Me
         bypasses: counters.bypasses,
         skips: counters.skips,
         hit_rate: counters.hit_rate(),
+        identical: digest == px_arch_digest(program, &off),
         digest,
-        identical: px_arch_digest(program, &on) == px_arch_digest(program, &off),
     }
 }
 
-/// The engines the differential gate covers (the two with NT-path memo).
-pub const MEMO_ENGINES: [&str; 2] = ["standard", "cmp"];
-
-/// Runs the full differential matrix: every throughput workload × both
-/// PathExpander engines, replay cache on vs off.
+/// Runs the full differential matrix: every throughput workload through the
+/// standard engine, replay cache on vs off.
 #[must_use]
 pub fn memo_gate() -> MemoGateReport {
     let mut rows = Vec::new();
     for (wname, src) in WORKLOADS {
         let program = assemble(src).unwrap_or_else(|e| panic!("perf workload {wname}: {e}"));
-        for engine in MEMO_ENGINES {
-            rows.push(memo_row(engine, wname, &program, &[]));
-        }
+        rows.push(memo_row(wname, &program, &[]));
     }
     for spec in ZOO_WORKLOADS {
         let (program, input) = zoo_program(spec);
-        for engine in MEMO_ENGINES {
-            rows.push(memo_row(engine, spec, &program, &input));
-        }
+        rows.push(memo_row(spec, &program, &input));
     }
     let nt_heavy_hit_rate = rows
         .iter()
-        .filter(|r| r.workload == "nt-heavy")
-        .map(|r| r.hit_rate)
-        .fold(f64::INFINITY, f64::min);
+        .find(|r| r.workload == "nt-heavy")
+        .map_or(0.0, |r| r.hit_rate);
     MemoGateReport {
         rows,
         nt_heavy_hit_rate,

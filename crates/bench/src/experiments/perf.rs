@@ -82,7 +82,9 @@ pub const PRE_MEMO_CMP_NT_HEAVY_MIPS: f64 = 39.51;
 /// default run replays recorded NT-path effect bundles instead of
 /// re-simulating them. 1.35x over the same-session `--no-memo` minimum —
 /// bounded because CMP replay still re-issues every cache access for
-/// timing identity — and 1.97x over the PR-8 floor of 27.11.
+/// timing identity — and 1.97x over the PR-8 floor of 27.11. A recorded
+/// trajectory point only: CMP replay was later removed because it did not
+/// pay on the zoo (EXPERIMENTS.md E18).
 pub const POST_MEMO_CMP_NT_HEAVY_MIPS: f64 = 53.30;
 
 /// Standard-engine MIPS on `nt-heavy` without the replay cache, same
@@ -211,10 +213,10 @@ impl ToJson for ThroughputRow {
 #[derive(Debug, Clone)]
 pub struct ThroughputReport {
     pub quick: bool,
-    /// Whether the NT-path replay cache was enabled for the standard/CMP
-    /// rows. The architectural digests are identical either way (that is
-    /// the memo contract, and `memo_gate` enforces it); only the wall-clock
-    /// columns move.
+    /// Whether the NT-path replay cache was enabled for the standard rows
+    /// (the only engine with one). The architectural digests are identical
+    /// either way (that is the memo contract, and `memo_gate` enforces it);
+    /// only the wall-clock columns move.
     pub memo: bool,
     pub rows: Vec<ThroughputRow>,
     /// Digest over every row's architectural digest — the one CI gates on.
@@ -326,9 +328,10 @@ impl ToJson for ThroughputReport {
                         ),
                     ),
                     // The advisory floor `bench_report --verify` warns under:
-                    // with the replay cache on by default, cmp/nt-heavy must
-                    // not fall back to its own pre-memo measurement. Never a
-                    // hard failure — wall clock is machine-specific.
+                    // cmp/nt-heavy's own measurement without a replay cache,
+                    // which is how the CMP engine always runs now (the cache
+                    // is standard-only). Never a hard failure — wall clock
+                    // is machine-specific.
                     ("cmp_mips_floor", Json::Float(PRE_MEMO_CMP_NT_HEAVY_MIPS)),
                 ]),
             ),
@@ -436,7 +439,7 @@ fn run_engine(engine: &str, program: &Program, input: &[u8], memo: bool) -> Arch
             ArchResult::from_px(program, &r)
         }
         "cmp" => {
-            let px = px_config().with_nt_memo(memo).cmp();
+            let px = px_config().cmp();
             let r = run_cmp(program, &MachConfig::default(), &px, io);
             ArchResult::from_px(program, &r)
         }
@@ -557,7 +560,7 @@ pub fn profile_report(engine: &str) -> Json {
 
 /// Runs the full throughput matrix. `quick` only lowers the number of timed
 /// repetitions — budgets and digests are identical in both modes. `memo`
-/// toggles the NT-path replay cache for the standard/CMP rows
+/// toggles the NT-path replay cache for the standard rows
 /// (`bench_report --no-memo`); the digests are identical either way, so a
 /// `--no-memo` run still passes `--verify` against the committed report.
 #[must_use]
@@ -607,11 +610,9 @@ mod tests {
         // The replay-cache contract at the bench layer: every gated digest
         // is identical with the cache on and off.
         let program = assemble(NT_HEAVY).unwrap();
-        for engine in ["standard", "cmp"] {
-            let on = run_engine(engine, &program, &[], true);
-            let off = run_engine(engine, &program, &[], false);
-            assert_eq!(on.digest(), off.digest(), "{engine}/nt-heavy");
-        }
+        let on = run_engine("standard", &program, &[], true);
+        let off = run_engine("standard", &program, &[], false);
+        assert_eq!(on.digest(), off.digest(), "standard/nt-heavy");
     }
 
     #[test]

@@ -33,8 +33,9 @@ OPTIONS:
     --threshold <n>                      NTPathCounterThreshold (default 5)
     --max-outstanding <n>                MaxNumNTPaths for --cmp (default 32)
     --no-fixes                           disable §4.4 variable fixing
-    --no-memo                            disable the NT-path replay cache
-                                         (architecturally identical, slower)
+    --no-memo                            disable the standard engine's NT-path
+                                         replay cache (architecturally
+                                         identical, slower; --cmp never replays)
     --os-sandbox                         sandbox unsafe events (§3.2 extension)
     --random-factor <n>                  1-in-n spawns from hot edges (§7.1(2))
     --refit                              profile-guided fix refitting (§4.4

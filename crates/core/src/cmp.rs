@@ -22,13 +22,10 @@
 //! with it, so the overhead the paper reports (< 9.9%) is spawn costs plus
 //! cache interference.
 
-use std::sync::Arc;
-
 use px_isa::{DecodedProgram, MicroOp, Program, SyscallCode, Width, UOP_KIND_COUNT};
 use px_mach::{
-    memo_fingerprint, run_simple, simple_cost_until, simple_steps_until, step_uop, uop_cost_table,
-    Btb, Checkpoint, CoreState, Coverage, Edge, FaultHook, Hierarchy, IoState, MachConfig, MemView,
-    MemoEntry, MemoNote, MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, MonitorRecord,
+    run_simple, simple_steps_until, step_uop, uop_cost_table, Btb, Checkpoint, CoreState, Coverage,
+    Edge, FaultHook, Hierarchy, IoState, MachConfig, MemView, Memory, MonitorArea, MonitorRecord,
     PathCoverage, PathKind, PathPlan, PathTrail, RecordKind, RunExit, Sandbox, SandboxView,
     SimError, Step, StepEnv, StepEvent, UopProfile, WatchTable, COMMITTED, MAX_MEM_BYTES,
 };
@@ -39,19 +36,6 @@ use crate::stats::{NtPathRecord, NtStop, PxRunResult, PxStats};
 
 /// Version tag for the primary core's speculative taken-path segment lines.
 const SEGMENT_VTAG: u8 = 255;
-
-/// Engine tag folded into the memo fingerprint (the standard engine uses
-/// tag 0): the two engines count `executed` differently on terminal steps,
-/// so their bundles must never mix.
-const MEMO_TAG_CMP: u8 = 1;
-
-/// A memo-hit path's replay position: the next recorded step, plus how far
-/// into the current batched run earlier grants already got.
-struct Replay {
-    entry: Arc<MemoEntry>,
-    step: usize,
-    run_off: u32,
-}
 
 /// A live or queued NT-path.
 struct NtPath {
@@ -73,12 +57,6 @@ struct NtPath {
     /// Prime-path trail, forked from the taken trail at spawn. `None` unless
     /// the run carries a `PxConfig::path_plan`.
     trail: Option<PathTrail>,
-    /// Memoization recorder (live paths under an active memo only).
-    rec: Option<MemoRecorder>,
-    /// Memo replay cursor: when set, the path replays its recorded bundle
-    /// through the scheduler instead of simulating; its sandbox and watch
-    /// clone go unused.
-    replay: Option<Replay>,
     /// A step whose functional half ran ahead of the min-ready order but
     /// whose tail touches shared state: it waits, with the core's clock at
     /// the step's start, until the core is the exact winner.
@@ -170,12 +148,7 @@ impl MemView for PrimaryView<'_> {
                     *b = self.memory.byte(addr + i as u32);
                 }
                 for p in self.live.iter_mut() {
-                    // Replaying paths never read their sandbox (their reads
-                    // were validated at spawn), so the preserve sweep skips
-                    // them.
-                    if p.replay.is_none() {
-                        p.sandbox.preserve_span(addr, &old[..n]);
-                    }
+                    p.sandbox.preserve_span(addr, &old[..n]);
                 }
                 self.cow_memo[slot] = CowEntry {
                     addr,
@@ -202,7 +175,6 @@ pub fn run_cmp(program: &Program, mach: &MachConfig, px: &PxConfig, io: IoState)
         px,
         io,
         None,
-        None,
         &mut CmpProfile::default(),
     )
 }
@@ -227,51 +199,7 @@ pub fn run_cmp_decoded(
         px,
         io,
         None,
-        None,
         &mut CmpProfile::default(),
-    )
-}
-
-/// [`run_cmp_decoded`] with a caller-held NT-path memo table, so repeated
-/// runs of one program replay each other's NT paths (see
-/// [`crate::standard::run_standard_memo`]). The table must come from
-/// [`cmp_memo_table`] for the same program + configuration, or it is
-/// ignored.
-#[must_use]
-pub fn run_cmp_memo(
-    program: &Program,
-    dp: &DecodedProgram,
-    mach: &MachConfig,
-    px: &PxConfig,
-    io: IoState,
-    memo: &mut MemoTable,
-) -> PxRunResult {
-    run_cmp_inner::<false>(
-        program,
-        Some(dp),
-        mach,
-        px,
-        io,
-        None,
-        Some(memo),
-        &mut CmpProfile::default(),
-    )
-}
-
-/// An empty memo table bound to this program + configuration, for
-/// [`run_cmp_memo`].
-#[must_use]
-pub fn cmp_memo_table(program: &Program, mach: &MachConfig, px: &PxConfig) -> MemoTable {
-    MemoTable::new(
-        memo_fingerprint(
-            &program.code,
-            px.max_nt_path_len,
-            px.nt_watchdog,
-            px.apply_fixes,
-            &mach.costs,
-            MEMO_TAG_CMP,
-        ),
-        px.nt_memo_max_reads,
     )
 }
 
@@ -293,7 +221,6 @@ pub fn run_cmp_with(
         px,
         io,
         fault,
-        None,
         &mut CmpProfile::default(),
     )
 }
@@ -311,11 +238,10 @@ pub fn run_cmp_profiled(
     io: IoState,
 ) -> (PxRunResult, CmpProfile) {
     let mut profile = CmpProfile::default();
-    let result = run_cmp_inner::<true>(program, None, mach, px, io, None, None, &mut profile);
+    let result = run_cmp_inner::<true>(program, None, mach, px, io, None, &mut profile);
     (result, profile)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_cmp_inner<const PROFILE: bool>(
     program: &Program,
     decoded: Option<&DecodedProgram>,
@@ -323,7 +249,6 @@ fn run_cmp_inner<const PROFILE: bool>(
     px: &PxConfig,
     io: IoState,
     fault: Option<&mut dyn FaultHook>,
-    shared_memo: Option<&mut MemoTable>,
     profile: &mut CmpProfile,
 ) -> PxRunResult {
     let fail = |e: SimError, io: IoState| PxRunResult {
@@ -410,34 +335,6 @@ fn run_cmp_inner<const PROFILE: bool>(
     // a fault hook must be consulted before every instruction. The primary
     // core never sees the hook, so it always batches.
     let nt_batching = fault.is_none();
-    // NT-path memoization (see `standard.rs` for the purity conditions).
-    // Profiled runs bypass it too: replay skips the interpreter, so the
-    // micro-op histogram would under-count.
-    let mut local_memo: Option<MemoTable> = None;
-    let mut memo: Option<&mut MemoTable> = if !PROFILE
-        && px.nt_memo
-        && fault.is_none()
-        && !px.os_sandbox_unsafe
-        && !px.explore_nt_from_nt
-    {
-        let fp = memo_fingerprint(
-            &program.code,
-            px.max_nt_path_len,
-            px.nt_watchdog,
-            px.apply_fixes,
-            &mach.costs,
-            MEMO_TAG_CMP,
-        );
-        match shared_memo {
-            Some(t) if t.fingerprint() == fp => Some(t),
-            // A mismatched shared table would replay another program's
-            // bundles; ignore it rather than corrupt the run.
-            Some(_) => None,
-            None => Some(local_memo.insert(MemoTable::new(fp, px.nt_memo_max_reads))),
-        }
-    } else {
-        None
-    };
     // Recycled per-path contexts: squashed sandboxes clear in O(1) (their
     // shadow pages go stale by generation bump and are revived lazily), and
     // pooled watch-table clones reuse their allocations. Architecturally
@@ -511,7 +408,6 @@ fn run_cmp_inner<const PROFILE: bool>(
                     &mut caches,
                     &mut stats,
                     &mut pool,
-                    memo.as_deref_mut(),
                 );
             }
             break 'event_loop;
@@ -730,7 +626,6 @@ fn run_cmp_inner<const PROFILE: bool>(
                                     &mut caches,
                                     &mut stats,
                                     &mut pool,
-                                    memo.as_deref_mut(),
                                 );
                                 if let Some(c) = victim.core {
                                     core_busy[c] = false;
@@ -775,12 +670,6 @@ fn run_cmp_inner<const PROFILE: bool>(
                                     } else {
                                         taken_target
                                     };
-                                    // Memo probe: a hit is admitted exactly like a
-                                    // live path (id, core, sequencing, spawn
-                                    // costs) but replays its recorded bundle.
-                                    let hit = memo.as_deref_mut().and_then(|t| {
-                                        t.probe(pc, nt_target, &watches, &primary.regs, &memory)
-                                    });
                                     admit_spawn(AdmitSpawn {
                                         pc,
                                         target: nt_target,
@@ -799,30 +688,6 @@ fn run_cmp_inner<const PROFILE: bool>(
                                         next_seq: &mut next_seq,
                                         spawn_epoch: &mut spawn_epoch,
                                     });
-                                    if let Some(path) = paths.last_mut() {
-                                        match hit {
-                                            Some(entry) => {
-                                                path.replay = Some(Replay {
-                                                    entry,
-                                                    step: 0,
-                                                    run_off: 0,
-                                                });
-                                            }
-                                            None => {
-                                                path.rec = memo.as_deref_mut().and_then(|t| {
-                                                    t.should_record(pc, nt_target).then(|| {
-                                                        MemoRecorder::new(
-                                                            pc,
-                                                            nt_target,
-                                                            &watches,
-                                                            px.apply_fixes,
-                                                            t.max_reads(),
-                                                        )
-                                                    })
-                                                });
-                                            }
-                                        }
-                                    }
                                     if let Some((p, taken_trail, cov)) = &mut tracking {
                                         if let Some(path) = paths.last_mut() {
                                             // Fork the NT trail *at the branch*
@@ -925,9 +790,8 @@ fn run_cmp_inner<const PROFILE: bool>(
                 // A live path may run private ops past the deadline too, but
                 // only ops that start before the primary's clock: the
                 // primary's next op may be shared and kill the path (forced
-                // commit, exit, crash, budget cut), and it wins ties. Memo
-                // replay stays at exact granularity.
-                let reach = if lookahead && paths[idx].replay.is_none() {
+                // commit, exit, crash, budget cut), and it wins ties.
+                let reach = if lookahead {
                     let h = budget_horizon(&ready, &core_busy, instructions, px.max_instructions);
                     deadline.max(h.min(ready[0].saturating_sub(1)))
                 } else {
@@ -935,176 +799,137 @@ fn run_cmp_inner<const PROFILE: bool>(
                 };
                 loop {
                     let p = &mut paths[idx];
+                    let run = if nt_batching && p.pending.is_none() {
+                        dp.simple_run(p.state.pc)
+                    } else {
+                        0
+                    };
+                    // Ops left before the path reaches a length cap.
+                    let cap = u64::from(px.max_nt_path_len.saturating_sub(p.executed))
+                        .min(px.nt_watchdog - u64::from(p.executed));
+                    let max_n = u64::from(run)
+                        .min(px.max_instructions - instructions)
+                        .min(cap) as u32;
                     // One grant retires one or more of the path's ops. It
                     // yields the stop (when the path died), the start cycle
                     // of its last op, and whether the core keeps the slot.
-                    let (stop, last_start, keep) = if p.replay.is_some() {
-                        // ---- Memo replay ----
-                        // Same deadline mathematics as the live path below;
-                        // cache accesses, caps and overflow are recomputed
-                        // against live state in the recorded order (see
-                        // `standard.rs`), so every cycle lands where a real
-                        // simulation would put it.
-                        replay_nt_step(
+                    let (stop, last_start, keep) = if max_n > 0 {
+                        let mut n = simple_steps_until(
+                            dp,
+                            p.state.pc,
+                            max_n,
+                            &cost_table,
+                            ready[who],
+                            reach,
+                        );
+                        // The op that reaches a cap ends the path: a shared
+                        // tail, left to the exact winner when it would
+                        // start past the deadline.
+                        if u64::from(n) == cap
+                            && (ready[who] > deadline
+                                || n > simple_steps_until(
+                                    dp,
+                                    p.state.pc,
+                                    n,
+                                    &cost_table,
+                                    ready[who],
+                                    deadline,
+                                ))
+                        {
+                            n -= 1;
+                            if n == 0 {
+                                if PROFILE {
+                                    profile.parked += 1;
+                                }
+                                break;
+                            }
+                        }
+                        if PROFILE {
+                            profile.uops.record_batch(dp, p.state.pc, n, &cost_table);
+                        }
+                        let pc0 = p.state.pc;
+                        ready[who] += run_simple(dp, &mut p.state, n, &cost_table);
+                        let last_start = ready[who] - last_op_cost(dp, pc0, n, &cost_table);
+                        if let Some((plan, _, cov)) = &mut tracking {
+                            if let Some(trail) = p.trail.as_mut() {
+                                trail.enter_range(plan, cov, pc0, n);
+                            }
+                        }
+                        instructions += u64::from(n);
+                        stats.nt_instructions += u64::from(n);
+                        p.executed += n;
+                        let stop = if u64::from(p.executed) >= px.nt_watchdog {
+                            Some(NtStop::Watchdog)
+                        } else if p.executed >= px.max_nt_path_len {
+                            Some(NtStop::MaxLength)
+                        } else {
+                            None
+                        };
+                        if stop.is_some() {
+                            ready[who] += u64::from(mach.squash_cycles);
+                        }
+                        (
+                            stop,
+                            last_start,
+                            n == run && instructions < px.max_instructions && ready[who] <= reach,
+                        )
+                    } else {
+                        let now = ready[who];
+                        let s = match p.pending.take() {
+                            // A parked step: this core is the exact winner now.
+                            Some(s) => s,
+                            None => {
+                                instructions += 1;
+                                let s = nt_exec::<PROFILE>(
+                                    program,
+                                    dp,
+                                    p,
+                                    &memory,
+                                    px,
+                                    mach,
+                                    now,
+                                    fault.as_mut().map(|h| h as &mut dyn FaultHook),
+                                    &mut profile.uops,
+                                );
+                                if now > deadline && !nt_tail_is_private(&s, p, who, &caches, px) {
+                                    if PROFILE {
+                                        profile.parked += 1;
+                                    }
+                                    p.pending = Some(s);
+                                    break;
+                                }
+                                s
+                            }
+                        };
+                        let (stop, cost) = nt_tail(
+                            s,
+                            now,
                             dp,
                             p,
                             who,
                             &mut caches,
                             &mut monitor,
+                            &mut btb,
                             &mut nt_cov,
                             &mut stats,
                             px,
                             mach,
-                            &cost_table,
-                            &mut ready[who],
-                            deadline,
-                            &mut instructions,
+                            static_veto.as_deref(),
                             tracking.as_mut().map(|(plan, _, cov)| (*plan, cov)),
+                        );
+                        ready[who] += u64::from(cost);
+                        stats.nt_instructions += 1;
+                        (
+                            stop,
+                            now,
+                            instructions < px.max_instructions && ready[who] <= reach,
                         )
-                    } else {
-                        let run = if nt_batching && p.pending.is_none() {
-                            dp.simple_run(p.state.pc)
-                        } else {
-                            0
-                        };
-                        // Ops left before the path reaches a length cap.
-                        let cap = u64::from(px.max_nt_path_len.saturating_sub(p.executed))
-                            .min(px.nt_watchdog - u64::from(p.executed));
-                        let max_n = u64::from(run)
-                            .min(px.max_instructions - instructions)
-                            .min(cap) as u32;
-                        if max_n > 0 {
-                            let mut n = simple_steps_until(
-                                dp,
-                                p.state.pc,
-                                max_n,
-                                &cost_table,
-                                ready[who],
-                                reach,
-                            );
-                            // The op that reaches a cap ends the path: a shared
-                            // tail, left to the exact winner when it would
-                            // start past the deadline.
-                            if u64::from(n) == cap
-                                && (ready[who] > deadline
-                                    || n > simple_steps_until(
-                                        dp,
-                                        p.state.pc,
-                                        n,
-                                        &cost_table,
-                                        ready[who],
-                                        deadline,
-                                    ))
-                            {
-                                n -= 1;
-                                if n == 0 {
-                                    if PROFILE {
-                                        profile.parked += 1;
-                                    }
-                                    break;
-                                }
-                            }
-                            if PROFILE {
-                                profile.uops.record_batch(dp, p.state.pc, n, &cost_table);
-                            }
-                            let pc0 = p.state.pc;
-                            if let Some(r) = p.rec.as_mut() {
-                                r.note_run(dp, pc0, n, &p.state.regs);
-                            }
-                            ready[who] += run_simple(dp, &mut p.state, n, &cost_table);
-                            let last_start = ready[who] - last_op_cost(dp, pc0, n, &cost_table);
-                            if let Some((plan, _, cov)) = &mut tracking {
-                                if let Some(trail) = p.trail.as_mut() {
-                                    trail.enter_range(plan, cov, pc0, n);
-                                }
-                            }
-                            instructions += u64::from(n);
-                            stats.nt_instructions += u64::from(n);
-                            p.executed += n;
-                            let stop = if u64::from(p.executed) >= px.nt_watchdog {
-                                Some(NtStop::Watchdog)
-                            } else if p.executed >= px.max_nt_path_len {
-                                Some(NtStop::MaxLength)
-                            } else {
-                                None
-                            };
-                            if stop.is_some() {
-                                ready[who] += u64::from(mach.squash_cycles);
-                            }
-                            (
-                                stop,
-                                last_start,
-                                n == run
-                                    && instructions < px.max_instructions
-                                    && ready[who] <= reach,
-                            )
-                        } else {
-                            let now = ready[who];
-                            let s = match p.pending.take() {
-                                // A parked step: this core is the exact winner now.
-                                Some(s) => s,
-                                None => {
-                                    instructions += 1;
-                                    let s = nt_exec::<PROFILE>(
-                                        program,
-                                        dp,
-                                        p,
-                                        &memory,
-                                        px,
-                                        mach,
-                                        now,
-                                        fault.as_mut().map(|h| h as &mut dyn FaultHook),
-                                        &mut profile.uops,
-                                    );
-                                    if now > deadline
-                                        && !nt_tail_is_private(&s, p, who, &caches, px)
-                                    {
-                                        if PROFILE {
-                                            profile.parked += 1;
-                                        }
-                                        p.pending = Some(s);
-                                        break;
-                                    }
-                                    s
-                                }
-                            };
-                            let (stop, cost) = nt_tail(
-                                s,
-                                now,
-                                dp,
-                                p,
-                                who,
-                                &mut caches,
-                                &mut monitor,
-                                &mut btb,
-                                &mut nt_cov,
-                                &mut stats,
-                                px,
-                                mach,
-                                static_veto.as_deref(),
-                                tracking.as_mut().map(|(plan, _, cov)| (*plan, cov)),
-                            );
-                            ready[who] += u64::from(cost);
-                            stats.nt_instructions += 1;
-                            (
-                                stop,
-                                now,
-                                instructions < px.max_instructions && ready[who] <= reach,
-                            )
-                        }
                     };
                     if let Some(stop) = stop {
                         let last = paths.len() - 1;
                         let mut victim = paths.swap_remove(idx);
                         hosted_after_swap_remove(&mut hosted, idx, last);
-                        finish_path(
-                            &mut victim,
-                            stop,
-                            &mut caches,
-                            &mut stats,
-                            &mut pool,
-                            memo.as_deref_mut(),
-                        );
+                        finish_path(&mut victim, stop, &mut caches, &mut stats, &mut pool);
                         core_busy[who] = false;
                         if let Some(started) =
                             start_queued(&mut paths, &mut core_busy, &mut ready, who, mach)
@@ -1262,8 +1087,6 @@ fn admit_spawn(s: AdmitSpawn<'_>) {
         scratch_watches,
         seq: *s.next_seq,
         trail: None,
-        rec: None,
-        replay: None,
         pending: None,
     };
     *s.next_seq += 1;
@@ -1319,24 +1142,10 @@ fn finish_path(
     caches: &mut Hierarchy,
     stats: &mut PxStats,
     pool: &mut Vec<(Sandbox, WatchTable)>,
-    memo: Option<&mut MemoTable>,
 ) {
     debug_assert!(path.pending.is_none(), "a parked step precedes every kill");
     if let Some(c) = path.core {
         caches.squash_path(c, path.id);
-    }
-    // Store the recorded bundle (or charge a bypass) before the context is
-    // recycled; replayed and unrecorded paths carry no recorder.
-    if let Some(rec) = path.rec.take() {
-        if let Some(t) = memo {
-            match stop.as_memo() {
-                Some(ms) => match rec.finish(path.executed, ms) {
-                    Some(e) => t.store(e),
-                    None => t.bypass(),
-                },
-                None => t.bypass(),
-            }
-        }
     }
     // The sandbox is returned to the spawn pool as-is (its pages are staled
     // by the O(1) `clear` on reuse), along with the scratch watch table.
@@ -1351,10 +1160,10 @@ fn finish_path(
     });
 }
 
-/// The functional half of one NT-path step: memo live-in notes, the
-/// interpreter step against the path's own view (registers, sandbox over
-/// the spawn-time memory image, scratch I/O and watch table) and the
-/// profile record. Touches nothing another core can observe.
+/// The functional half of one NT-path step: the interpreter step against
+/// the path's own view (registers, sandbox over the spawn-time memory
+/// image, scratch I/O and watch table) and the profile record. Touches
+/// nothing another core can observe.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn nt_exec<const PROFILE: bool>(
@@ -1385,14 +1194,6 @@ fn nt_exec<const PROFILE: bool>(
     } else {
         None
     };
-    if let Some(r) = path.rec.as_mut() {
-        // Pre-step live-ins (see `standard.rs`): unwritten registers still
-        // hold spawn values; loads record the committed bytes they are
-        // about to read.
-        if let Some(u) = dp.op(path.state.pc) {
-            r.note_uop(u, &path.state.regs, &path.sandbox, memory);
-        }
-    }
     let s = {
         let mut view = SandboxView::new(memory, &mut path.sandbox);
         step_uop(program, dp, &mut path.state, &mut view, &mut env)
@@ -1427,9 +1228,8 @@ fn nt_tail_is_private(
 }
 
 /// The tail of one NT-path step `s` that started at cycle `now`: deferred
-/// faults, the cache access, memo recording, coverage, monitor records and
-/// the stop checks. Returns the stop (when the path dies here) and the
-/// step's cost.
+/// faults, the cache access, coverage, monitor records and the stop checks.
+/// Returns the stop (when the path dies here) and the step's cost.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn nt_tail(
@@ -1476,38 +1276,6 @@ fn nt_tail(
         }
     }
     path.executed += 1;
-
-    if let Some(r) = path.rec.as_mut() {
-        let note = match s.event {
-            StepEvent::Branch { pc, taken, .. } => MemoNote::Branch { pc, taken },
-            StepEvent::CheckFailed { kind, site, pc } => MemoNote::Check { kind, site, pc },
-            StepEvent::WatchHit {
-                tag,
-                addr,
-                is_write,
-                pc,
-            } => MemoNote::Watch {
-                tag,
-                addr,
-                is_write,
-                pc,
-            },
-            StepEvent::UnsafeEvent { code } => MemoNote::Stop(if code == SyscallCode::Exit {
-                px_mach::MemoStop::ProgramEnd
-            } else {
-                px_mach::MemoStop::Unsafe(code)
-            }),
-            StepEvent::Crash { kind, .. } => MemoNote::Stop(px_mach::MemoStop::Crash(kind)),
-            StepEvent::Exit { .. } => MemoNote::Stop(px_mach::MemoStop::ProgramEnd),
-            StepEvent::Syscall { .. } | StepEvent::None => MemoNote::None,
-        };
-        r.push_one(
-            s.base_cost,
-            path.state.pc,
-            s.access.map(|a| (a.addr, a.write)),
-            note,
-        );
-    }
 
     let stop = match s.event {
         StepEvent::Branch {
@@ -1611,179 +1379,6 @@ fn nt_tail(
         cost += mach.squash_cycles;
     }
     (stop, cost)
-}
-
-/// One replay grant on core `core`: applies the path's next recorded step —
-/// or the scheduler-granted chunk of a batched run — against live caches,
-/// caps and budget. Mirrors the live arm exactly: the batch grant is cut by
-/// the same `deadline`, monitor records are stamped with the pre-step clock,
-/// `executed` ticks before the stop checks, and a squash is charged on
-/// death. Returns the stop (when the path dies here), the start cycle of the
-/// last op granted, and whether the core keeps the slot.
-#[allow(clippy::too_many_arguments)]
-fn replay_nt_step(
-    dp: &DecodedProgram,
-    path: &mut NtPath,
-    core: usize,
-    caches: &mut Hierarchy,
-    monitor: &mut MonitorArea,
-    nt_cov: &mut Coverage,
-    stats: &mut PxStats,
-    px: &PxConfig,
-    mach: &MachConfig,
-    cost_table: &[u32; UOP_KIND_COUNT],
-    ready: &mut u64,
-    deadline: u64,
-    instructions: &mut u64,
-    tracking: Option<(&PathPlan, &mut PathCoverage)>,
-) -> (Option<NtStop>, u64, bool) {
-    let r = path.replay.as_mut().expect("replay paths only");
-    let step = r.entry.steps.get(r.step).copied();
-    match step {
-        None => {
-            // Unreachable: every stored bundle ends on a stop, and the caps
-            // that could pre-empt it are part of the fingerprint. Kept as a
-            // defensive stop so a logic error cannot wedge the scheduler.
-            debug_assert!(false, "recorded bundles end on a stop");
-            let now = *ready;
-            *ready += u64::from(mach.squash_cycles);
-            (Some(NtStop::from_memo(r.entry.stop)), now, false)
-        }
-        Some(MemoStep::Run { pc, n: total }) => {
-            let pc0 = pc + r.run_off;
-            let run = dp.simple_run(pc0);
-            debug_assert!(run > 0, "recorded runs cover only simple micro-ops");
-            // Identical to the live arm's `max_n`: the cursor bound binds
-            // only when a cap would bind at the same count (a run ends at a
-            // non-simple op or at the path's recorded death).
-            let max_n = u64::from(run)
-                .min(u64::from(total - r.run_off))
-                .min(px.max_instructions - *instructions)
-                .min(px.nt_watchdog - u64::from(path.executed))
-                .min(u64::from(px.max_nt_path_len.saturating_sub(path.executed)))
-                as u32;
-            let (n, cost) = simple_cost_until(dp, pc0, max_n, cost_table, *ready, deadline);
-            *ready += cost;
-            let last_start = *ready - last_op_cost(dp, pc0, n, cost_table);
-            if let Some((plan, cov)) = tracking {
-                if let Some(trail) = path.trail.as_mut() {
-                    trail.enter_range(plan, cov, pc0, n);
-                }
-            }
-            *instructions += u64::from(n);
-            stats.nt_instructions += u64::from(n);
-            path.executed += n;
-            r.run_off += n;
-            if r.run_off == total {
-                r.step += 1;
-                r.run_off = 0;
-            }
-            if u64::from(path.executed) >= px.nt_watchdog {
-                *ready += u64::from(mach.squash_cycles);
-                (Some(NtStop::Watchdog), last_start, false)
-            } else if path.executed >= px.max_nt_path_len {
-                *ready += u64::from(mach.squash_cycles);
-                (Some(NtStop::MaxLength), last_start, false)
-            } else {
-                (
-                    None,
-                    last_start,
-                    n == run && *instructions < px.max_instructions && *ready <= deadline,
-                )
-            }
-        }
-        Some(MemoStep::One {
-            base,
-            next_pc,
-            access,
-            note,
-        }) => {
-            *instructions += 1;
-            let now = *ready;
-            let mut cost = base;
-            let mut overflow = false;
-            if let Some((addr, write)) = access {
-                if write {
-                    stats.nt_writes += 1;
-                }
-                let vtag = if write { path.id } else { COMMITTED };
-                let a = caches.access(core, addr, write, vtag);
-                cost += a.cycles;
-                if a.volatile_evicted == Some(path.id) {
-                    overflow = true;
-                }
-            }
-            path.executed += 1;
-            let nt_kind = PathKind::NtPath {
-                spawn_pc: path.spawn_pc,
-            };
-            let mut stop = match note {
-                MemoNote::None => None,
-                MemoNote::Branch { pc, taken } => {
-                    stats.dyn_branches += 1;
-                    nt_cov.record(pc, Edge::from_taken(taken));
-                    None
-                }
-                MemoNote::Check { kind, site, pc } => {
-                    monitor.push(MonitorRecord {
-                        kind: RecordKind::Check(kind),
-                        site,
-                        pc,
-                        cycle: now,
-                        path: nt_kind,
-                    });
-                    None
-                }
-                MemoNote::Watch {
-                    tag,
-                    addr,
-                    is_write,
-                    pc,
-                } => {
-                    monitor.push(MonitorRecord {
-                        kind: RecordKind::Watch {
-                            tag,
-                            addr,
-                            is_write,
-                        },
-                        site: tag,
-                        pc,
-                        cycle: now,
-                        path: nt_kind,
-                    });
-                    None
-                }
-                MemoNote::Stop(ms) => Some(NtStop::from_memo(ms)),
-            };
-            if stop.is_none() {
-                if let Some((plan, cov)) = tracking {
-                    if let Some(trail) = path.trail.as_mut() {
-                        trail.enter_pc(plan, cov, next_pc);
-                    }
-                }
-            }
-            stop = stop.or(if overflow {
-                Some(NtStop::SandboxOverflow)
-            } else if u64::from(path.executed) >= px.nt_watchdog {
-                Some(NtStop::Watchdog)
-            } else if path.executed >= px.max_nt_path_len {
-                Some(NtStop::MaxLength)
-            } else {
-                None
-            });
-            r.step += 1;
-            if stop.is_some() {
-                cost += mach.squash_cycles;
-            }
-            *ready += u64::from(cost);
-            stats.nt_instructions += 1;
-            (
-                stop,
-                now,
-                stop.is_none() && *instructions < px.max_instructions && *ready <= deadline,
-            )
-        }
-    }
 }
 
 #[cfg(test)]

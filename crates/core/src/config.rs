@@ -71,19 +71,16 @@ pub struct PxConfig {
     /// turn a short path into a runaway loop; the watchdog guarantees the
     /// taken path always regains the core.
     pub nt_watchdog: u64,
-    /// NT-path memoization (the replay cache in `px_mach::memo`): record
-    /// each NT path's live-in read set and effect bundle, and replay the
-    /// bundle — skipping re-simulation — when a later spawn's live-ins
-    /// match. Purely a simulator-performance lever: every architectural
-    /// digest is byte-identical with it on or off (`memo_gate` enforces
-    /// this). Automatically bypassed for runs with a fault injector, the
+    /// NT-path memoization in the standard engine (the replay cache in
+    /// `px_mach::memo`; the CMP engine always simulates): record each NT
+    /// path's live-in read set and effect bundle, and replay the bundle —
+    /// skipping re-simulation — when a later spawn's live-ins match.
+    /// Purely a simulator-performance lever: every architectural digest is
+    /// byte-identical with it on or off (`memo_gate` enforces this).
+    /// Automatically bypassed for runs with a fault injector, the
     /// OS-sandbox extension, or NT-from-NT exploration, whose NT paths are
     /// not pure functions of their read sets.
     pub nt_memo: bool,
-    /// Read-set size cap for memoization: paths that read more than this
-    /// many distinct memory bytes are not recorded (probing such a set
-    /// would cost more than re-simulating the path).
-    pub nt_memo_max_reads: usize,
     /// Prime-path coverage plan (see px-analyze's `PrimePathSet` and
     /// `pathexpander::plan_paths`). `Some` makes the engines match block
     /// traces — taken and NT — against the enumerated prime paths and
@@ -109,7 +106,6 @@ impl Default for PxConfig {
             max_instructions: 500_000_000,
             nt_watchdog: 1_000_000,
             nt_memo: true,
-            nt_memo_max_reads: 1024,
             path_plan: None,
         }
     }
@@ -213,17 +209,10 @@ impl PxConfig {
         self
     }
 
-    /// Enables or disables NT-path memoization.
+    /// Enables or disables the standard engine's NT-path memoization.
     #[must_use]
     pub fn with_nt_memo(mut self, enable: bool) -> PxConfig {
         self.nt_memo = enable;
-        self
-    }
-
-    /// Sets the memoization read-set cap (clamped to at least 1).
-    #[must_use]
-    pub fn with_nt_memo_max_reads(mut self, n: usize) -> PxConfig {
-        self.nt_memo_max_reads = n.max(1);
         self
     }
 
@@ -249,7 +238,6 @@ mod tests {
         assert!(!c.explore_nt_from_nt);
         assert_eq!(c.static_nt_filter, None, "paper mode: no static veto");
         assert!(c.nt_memo, "memoization is on by default");
-        assert_eq!(c.nt_memo_max_reads, 1024);
         assert_eq!(PxConfig::siemens_defaults().max_nt_path_len, 100);
     }
 
@@ -265,7 +253,6 @@ mod tests {
             .with_counter_reset_interval(5)
             .with_static_nt_filter(Some(8))
             .with_nt_memo(false)
-            .with_nt_memo_max_reads(0)
             .with_max_instructions(99);
         assert_eq!(c.mode, Mode::Cmp);
         assert_eq!(c.max_nt_path_len, 10);
@@ -276,7 +263,6 @@ mod tests {
         assert_eq!(c.counter_reset_interval, 5);
         assert_eq!(c.static_nt_filter, Some(8));
         assert!(!c.nt_memo);
-        assert_eq!(c.nt_memo_max_reads, 1, "clamped to at least one");
         assert_eq!(
             PxConfig::default()
                 .with_static_nt_filter(Some(0))

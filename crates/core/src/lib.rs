@@ -62,10 +62,7 @@ mod inject;
 pub mod standard;
 pub mod stats;
 
-pub use cmp::{
-    cmp_memo_table, run_cmp, run_cmp_decoded, run_cmp_memo, run_cmp_profiled, run_cmp_with,
-    CmpProfile,
-};
+pub use cmp::{run_cmp, run_cmp_decoded, run_cmp_profiled, run_cmp_with, CmpProfile};
 pub use config::{Mode, PxConfig};
 pub use contain::{check_containment, differential_run, ContainmentReport, Violation};
 pub use feasibility::{measure_latency, measure_latency_with, profile_from_stats, LatencyProfile};
@@ -75,7 +72,7 @@ pub use standard::{
 };
 pub use stats::{NtPathRecord, NtStop, PxRunResult, PxStats};
 
-// The NT-path memo table engines and campaigns share across runs.
+// The standard engine's NT-path memo table, shared by campaigns across runs.
 pub use px_mach::MemoTable;
 
 use px_analyze::PrimePathSet;

@@ -37,10 +37,6 @@ use crate::stats::{NtPathRecord, NtStop, PxRunResult, PxStats};
 /// paper's single-bit Vtag.
 const NT_VTAG: u8 = 1;
 
-/// Engine tag folded into the memo fingerprint (the CMP engine uses its
-/// own, so tables are never shared across engine families).
-pub(crate) const MEMO_TAG_STANDARD: u8 = 0;
-
 struct NtContext {
     spawn_pc: u32,
     executed: u32,
@@ -115,16 +111,17 @@ pub fn run_standard_memo(
 /// [`run_standard_memo`].
 #[must_use]
 pub fn standard_memo_table(program: &Program, mach: &MachConfig, px: &PxConfig) -> MemoTable {
-    MemoTable::new(
-        memo_fingerprint(
-            &program.code,
-            px.max_nt_path_len,
-            px.nt_watchdog,
-            px.apply_fixes,
-            &mach.costs,
-            MEMO_TAG_STANDARD,
-        ),
-        px.nt_memo_max_reads,
+    MemoTable::new(table_fingerprint(program, mach, px))
+}
+
+/// The fingerprint a memo table for this program + configuration carries.
+fn table_fingerprint(program: &Program, mach: &MachConfig, px: &PxConfig) -> u64 {
+    memo_fingerprint(
+        &program.code,
+        px.max_nt_path_len,
+        px.nt_watchdog,
+        px.apply_fixes,
+        &mach.costs,
     )
 }
 
@@ -244,20 +241,13 @@ fn run_standard_inner(
     let mut local_memo: Option<MemoTable> = None;
     let mut memo: Option<&mut MemoTable> =
         if px.nt_memo && fault.is_none() && !px.os_sandbox_unsafe && !px.explore_nt_from_nt {
-            let fp = memo_fingerprint(
-                &program.code,
-                px.max_nt_path_len,
-                px.nt_watchdog,
-                px.apply_fixes,
-                &mach.costs,
-                MEMO_TAG_STANDARD,
-            );
+            let fp = table_fingerprint(program, mach, px);
             match shared_memo {
                 Some(t) if t.fingerprint() == fp => Some(t),
                 // A mismatched shared table would replay another program's
                 // bundles; ignore it rather than corrupt the run.
                 Some(_) => None,
-                None => Some(local_memo.insert(MemoTable::new(fp, px.nt_memo_max_reads))),
+                None => Some(local_memo.insert(MemoTable::new(fp))),
             }
         } else {
             None
@@ -443,15 +433,8 @@ fn run_standard_inner(
                             };
                         }
                         let rec = memo.as_deref_mut().and_then(|t| {
-                            t.should_record(pc, nt_target).then(|| {
-                                MemoRecorder::new(
-                                    pc,
-                                    nt_target,
-                                    &watches,
-                                    px.apply_fixes,
-                                    t.max_reads(),
-                                )
-                            })
+                            t.should_record(pc, nt_target)
+                                .then(|| MemoRecorder::new(pc, nt_target, &watches, px.apply_fixes))
                         });
                         let checkpoint = Checkpoint::take(&core);
                         core.pc = nt_target;

@@ -1,5 +1,6 @@
-//! Differential suite for NT-path memoization: a run with the replay cache
-//! enabled must be **byte-identical** to the same run with it disabled —
+//! Differential suite for the standard engine's NT-path memoization (the
+//! only engine with a replay cache): a run with the cache enabled must be
+//! **byte-identical** to the same run with it disabled —
 //! every exit, cycle count, coverage bitmap, monitor record, committed
 //! memory byte, register, statistic and prime-path count. Memoization is a
 //! simulator-performance lever, never an architectural one.
@@ -11,8 +12,8 @@
 //! must not be served from memo entries).
 
 use pathexpander::{
-    cmp_memo_table, plan_paths, run_cmp, run_cmp_memo, run_standard, run_standard_memo,
-    run_standard_with, standard_memo_table, PxConfig, PxRunResult,
+    plan_paths, run_standard, run_standard_memo, run_standard_with, standard_memo_table, PxConfig,
+    PxRunResult,
 };
 use px_isa::{
     AluOp, BranchCond, CheckKind, DecodedProgram, Instruction, Program, Reg, SyscallCode, Width,
@@ -171,21 +172,6 @@ fn assert_memo_identical(program: &Program, input: &[u8], k: u8) {
         (&on.exit, on.cycles, &on.stats),
         (&off.exit, off.cycles, &off.stats),
     );
-
-    let c_on = run_cmp(program, &MachConfig::default(), &px_at(k, true).cmp(), io());
-    let c_off = run_cmp(
-        program,
-        &MachConfig::default(),
-        &px_at(k, false).cmp(),
-        io(),
-    );
-    assert_eq!(
-        full_digest(program, &c_on),
-        full_digest(program, &c_off),
-        "cmp memo on/off diverged (K={k}): {:?} vs {:?}",
-        (&c_on.exit, c_on.cycles, &c_on.stats),
-        (&c_off.exit, c_off.cycles, &c_off.stats),
-    );
 }
 
 px_prop! {
@@ -277,23 +263,6 @@ fn nt_heavy_identical_with_hits_and_path_plan() {
             full_digest(&program, &off),
             "nt-heavy memo on/off diverged (K={k})"
         );
-        let c_on = run_cmp(
-            &program,
-            &MachConfig::default(),
-            &px.clone().cmp(),
-            IoState::default(),
-        );
-        let c_off = run_cmp(
-            &program,
-            &MachConfig::default(),
-            &px.clone().cmp().with_nt_memo(false),
-            IoState::default(),
-        );
-        assert_eq!(
-            full_digest(&program, &c_on),
-            full_digest(&program, &c_off),
-            "nt-heavy cmp memo on/off diverged (K={k})"
-        );
     }
 }
 
@@ -318,38 +287,6 @@ fn explicit_table_hits_and_reuses_across_runs() {
     // per spawn, and the result is still byte-identical to a memo-off run.
     let second = run_standard_memo(&program, &dp, &mach, &px, IoState::default(), &mut table);
     let plain = run_standard(
-        &program,
-        &mach,
-        &px.clone().with_nt_memo(false),
-        IoState::default(),
-    );
-    assert!(table.counters.hits > hits_after_first);
-    assert_eq!(
-        full_digest(&program, &second),
-        full_digest(&program, &plain)
-    );
-    assert_eq!(full_digest(&program, &first), full_digest(&program, &plain));
-}
-
-#[test]
-fn cmp_explicit_table_hits_and_stays_identical() {
-    let program = px_isa::asm::assemble(NT_HEAVY).expect("assembles");
-    let dp = DecodedProgram::decode(&program);
-    let mach = MachConfig::default();
-    let px = px_at(64, true).cmp();
-    let mut table = cmp_memo_table(&program, &mach, &px);
-    let first = run_cmp_memo(&program, &dp, &mach, &px, IoState::default(), &mut table);
-    assert!(first.stats.spawns > 4, "nt-heavy must spawn");
-    assert!(
-        table.counters.hits > 0,
-        "repeated spawns of the same body must hit: {:?}",
-        table.counters
-    );
-    assert!(table.counters.stores > 0);
-    let hits_after_first = table.counters.hits;
-
-    let second = run_cmp_memo(&program, &dp, &mach, &px, IoState::default(), &mut table);
-    let plain = run_cmp(
         &program,
         &mach,
         &px.clone().with_nt_memo(false),

@@ -61,7 +61,7 @@ pub use fault::{
 pub use io::IoState;
 pub use memo::{
     memo_fingerprint, MemoEntry, MemoNote, MemoRecorder, MemoStep, MemoStop, MemoTable,
-    MEMO_MAX_STEPS, MEMO_RETRY_PERIOD, MEMO_STRIKE_LIMIT,
+    MEMO_MAX_READS, MEMO_MAX_STEPS, MEMO_RETRY_PERIOD, MEMO_STRIKE_LIMIT,
 };
 pub use memory::{CrashKind, MemView, Memory, Sandbox, SandboxView};
 pub use monitor::{MonitorArea, MonitorRecord, PathKind, RecordKind};

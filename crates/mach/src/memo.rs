@@ -9,16 +9,16 @@
 //! later spawns at the same (spawn pc, NT target) whose live-ins still match
 //! *replay* the bundle instead of re-simulating, step for step.
 //!
-//! Replay is *simulation-timing identical*: the engines re-issue every cache
-//! access of the recorded path in the same global order (so cycle charges,
-//! sandbox-overflow squashes and cross-path cache interference are
-//! recomputed live, never trusted from the recording) and re-apply every
-//! budget/watchdog/length cap against their live counters. What replay skips
-//! is the interpreter itself — operand reads, ALU work, sandbox writes,
-//! watch lookups — which is where the wall-clock time goes. Every
-//! architectural digest (taken-path, coverage, timing, campaign aggregate)
-//! is byte-identical with the cache on or off; `memo_gate` enforces this
-//! differentially in CI.
+//! Only the standard engine replays; the CMP engine always simulates its
+//! NT paths. Replay is *simulation-timing identical*: the engine re-issues
+//! every cache access of the recorded path in order (so cycle charges and
+//! sandbox-overflow squashes are recomputed live, never trusted from the
+//! recording) and re-applies every budget/watchdog/length cap against its
+//! live counters. What replay skips is the interpreter itself — operand
+//! reads, ALU work, sandbox writes, watch lookups — which is where the
+//! wall-clock time goes. Every architectural digest (taken-path, coverage,
+//! timing, campaign aggregate) is byte-identical with the cache on or off;
+//! `memo_gate` enforces this differentially in CI.
 //!
 //! Cache state is deliberately **not** part of the validated read set:
 //! NT-path loads read committed memory (or their own sandbox writes, which
@@ -46,6 +46,11 @@ use crate::watch::{WatchRange, WatchTable};
 /// bytes). Batched simple regions count as one step, so real paths rarely
 /// come close.
 pub const MEMO_MAX_STEPS: usize = 4096;
+
+/// Read-set size cap: paths that read more than this many distinct memory
+/// bytes are not recorded (probing such a set would cost more than
+/// re-simulating the path).
+pub const MEMO_MAX_READS: usize = 1024;
 
 /// Slot count of the memo table (distinct (spawn pc, target) keys).
 pub const MEMO_SLOTS: usize = 512;
@@ -191,7 +196,6 @@ pub struct MemoRecorder {
     mem_reads: Vec<(u32, u8)>,
     mem_seen: HashSet<u32>,
     steps: Vec<MemoStep>,
-    max_reads: usize,
     aborted: bool,
 }
 
@@ -203,13 +207,7 @@ impl MemoRecorder {
     /// Start recording a path spawned at `spawn_pc` toward `target`, with
     /// the given watch table and initial NT predicate.
     #[must_use]
-    pub fn new(
-        spawn_pc: u32,
-        target: u32,
-        watches: &WatchTable,
-        pred: bool,
-        max_reads: usize,
-    ) -> MemoRecorder {
+    pub fn new(spawn_pc: u32, target: u32, watches: &WatchTable, pred: bool) -> MemoRecorder {
         MemoRecorder {
             spawn_pc,
             target,
@@ -221,7 +219,6 @@ impl MemoRecorder {
             mem_reads: Vec::new(),
             mem_seen: HashSet::new(),
             steps: Vec::new(),
-            max_reads,
             aborted: false,
         }
     }
@@ -261,12 +258,9 @@ impl MemoRecorder {
             if !self.mem_seen.insert(b) {
                 continue;
             }
-            // Under CMP copy-on-write the spawn-time value may survive only
-            // in the snapshot layer; the standard engine never snapshots.
-            let v = sandbox.snapshot_byte(b).unwrap_or_else(|| memory.byte(b));
-            self.mem_reads.push((b, v));
+            self.mem_reads.push((b, memory.byte(b)));
         }
-        if self.mem_reads.len() > self.max_reads {
+        if self.mem_reads.len() > MEMO_MAX_READS {
             self.aborted = true;
         }
     }
@@ -477,7 +471,6 @@ struct MemoSlot {
 pub struct MemoTable {
     map: FixedMap<MemoSlot>,
     fingerprint: u64,
-    max_reads: usize,
     /// Probe/store accounting (not part of `PxStats`, so memoization never
     /// perturbs architectural statistics).
     pub counters: MemoCounters,
@@ -486,11 +479,10 @@ pub struct MemoTable {
 impl MemoTable {
     /// Create an empty table bound to a configuration fingerprint.
     #[must_use]
-    pub fn new(fingerprint: u64, max_reads: usize) -> MemoTable {
+    pub fn new(fingerprint: u64) -> MemoTable {
         MemoTable {
             map: FixedMap::new(MEMO_SLOTS, fingerprint),
             fingerprint,
-            max_reads,
             counters: MemoCounters::default(),
         }
     }
@@ -500,12 +492,6 @@ impl MemoTable {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Read-set size cap handed to recorders.
-    #[must_use]
-    pub fn max_reads(&self) -> usize {
-        self.max_reads
     }
 
     /// Total evictions (slot-level and variant-level).
@@ -620,7 +606,7 @@ impl MemoTable {
 /// Fingerprint binding a memo table to everything that shapes recorded
 /// bundles: the program text (step pcs and base costs), the NT caps (they
 /// decide where recorded paths end), the NT-entry predicate, the cost model
-/// (base costs are baked into recorded steps) and the engine family.
+/// (base costs are baked into recorded steps).
 ///
 /// Program *data* and the path plan are deliberately excluded: data live-ins
 /// are validated per probe, and trails are replayed live against whatever
@@ -632,12 +618,11 @@ pub fn memo_fingerprint(
     nt_watchdog: u64,
     apply_fixes: bool,
     costs: &CostModel,
-    engine_tag: u8,
 ) -> u64 {
     let mut h = px_util::fnv1a64(0x4d45_4d4f, &encode_program(code));
     h = px_util::fnv1a64(h, &max_nt_path_len.to_le_bytes());
     h = px_util::fnv1a64(h, &nt_watchdog.to_le_bytes());
-    h = px_util::fnv1a64(h, &[u8::from(apply_fixes), engine_tag]);
+    h = px_util::fnv1a64(h, &[u8::from(apply_fixes)]);
     px_util::fnv1a64(h, format!("{costs:?}").as_bytes())
 }
 
@@ -661,7 +646,7 @@ mod tests {
 
     #[test]
     fn probe_validates_reg_and_mem_live_ins() {
-        let mut t = MemoTable::new(1, 1024);
+        let mut t = MemoTable::new(1);
         t.store(entry_with(vec![(5, 77)], vec![(4096, 9)]));
         let watches = WatchTable::default();
         let mut regs = Regs::default();
@@ -695,7 +680,7 @@ mod tests {
         let mut recorded = watches.ranges().to_vec();
         recorded.reverse();
         e.watch = recorded;
-        let mut t = MemoTable::new(1, 1024);
+        let mut t = MemoTable::new(1);
         t.store(e);
         let regs = Regs::default();
         let mem = Memory::new(8192);
@@ -710,7 +695,7 @@ mod tests {
 
     #[test]
     fn variant_list_evicts_least_used() {
-        let mut t = MemoTable::new(1, 1024);
+        let mut t = MemoTable::new(1);
         for i in 0..MEMO_VARIANTS as i32 {
             t.store(entry_with(vec![(5, i)], Vec::new()));
         }
@@ -736,7 +721,7 @@ mod tests {
 
     #[test]
     fn admission_mutes_striking_keys_and_retries_periodically() {
-        let mut t = MemoTable::new(1, 1024);
+        let mut t = MemoTable::new(1);
         let watches = WatchTable::default();
         let mem = Memory::new(8192);
         // Unknown keys always record.
@@ -774,7 +759,7 @@ mod tests {
         regs.set(Reg::new(3), 30);
         regs.set(Reg::new(4), 40);
         let watches = WatchTable::default();
-        let mut r = MemoRecorder::new(0, 1, &watches, false, 1024);
+        let mut r = MemoRecorder::new(0, 1, &watches, false);
         // First op reads r3, r4 and writes r3; the second re-reads r3.
         let program = px_isa::asm::assemble(".code\nmain:\n  add r3, r3, r4\n  add r5, r3, r4\n")
             .expect("assembles");
@@ -793,19 +778,23 @@ mod tests {
         let mem = Memory::new(8192);
         let mut sandbox = Sandbox::default();
         sandbox.write_byte(4098, 7);
-        let mut r = MemoRecorder::new(0, 1, &watches, false, 3);
+        let mut r = MemoRecorder::new(0, 1, &watches, false);
         r.read_mem(4096, 4, &sandbox, &mem);
-        // 4098 was self-written: only 3 live-in bytes recorded, at the cap.
-        assert!(r.live());
-        let e = r.finish(1, MemoStop::MaxLength).expect("at cap, not over");
+        let e = r.finish(1, MemoStop::MaxLength).expect("under the cap");
         assert_eq!(
             e.mem_reads,
             vec![(4096, 0), (4097, 0), (4099, 0)],
             "self-written byte excluded"
         );
 
-        let mut r2 = MemoRecorder::new(0, 1, &watches, false, 3);
-        r2.read_mem(4096, 8, &sandbox, &mem);
+        // The cap counts live-in bytes only: the self-written byte lets the
+        // span run one past it.
+        let cap = MEMO_MAX_READS as u32;
+        let mut r1 = MemoRecorder::new(0, 1, &watches, false);
+        r1.read_mem(4096, cap + 1, &sandbox, &mem);
+        assert!(r1.live(), "at the cap, not over");
+        let mut r2 = MemoRecorder::new(0, 1, &watches, false);
+        r2.read_mem(4096, cap + 2, &sandbox, &mem);
         assert!(!r2.live(), "over the read cap must abort");
         assert!(r2.finish(1, MemoStop::MaxLength).is_none());
     }
@@ -817,7 +806,7 @@ mod tests {
         let program = px_isa::asm::assemble(&format!(".code\nmain:\n{}", "  nop\n".repeat(10)))
             .expect("assembles");
         let dp = DecodedProgram::decode(&program);
-        let mut r = MemoRecorder::new(0, 1, &watches, false, 1024);
+        let mut r = MemoRecorder::new(0, 1, &watches, false);
         r.note_run(&dp, 0, 3, &regs);
         r.note_run(&dp, 3, 2, &regs);
         r.push_one(1, 9, None, MemoNote::None);
@@ -842,25 +831,12 @@ mod tests {
     fn fingerprint_tracks_config() {
         let code = vec![Instruction::Nop; 4];
         let costs = MachConfig::default().costs;
-        let base = memo_fingerprint(&code, 1000, 1 << 20, true, &costs, 0);
-        assert_eq!(
-            base,
-            memo_fingerprint(&code, 1000, 1 << 20, true, &costs, 0)
-        );
-        assert_ne!(base, memo_fingerprint(&code, 999, 1 << 20, true, &costs, 0));
-        assert_ne!(
-            base,
-            memo_fingerprint(&code, 1000, 1 << 20, false, &costs, 0)
-        );
-        assert_ne!(
-            base,
-            memo_fingerprint(&code, 1000, 1 << 20, true, &costs, 1)
-        );
+        let base = memo_fingerprint(&code, 1000, 1 << 20, true, &costs);
+        assert_eq!(base, memo_fingerprint(&code, 1000, 1 << 20, true, &costs));
+        assert_ne!(base, memo_fingerprint(&code, 999, 1 << 20, true, &costs));
+        assert_ne!(base, memo_fingerprint(&code, 1000, 1 << 20, false, &costs));
         let mut other = costs;
         other.div += 1;
-        assert_ne!(
-            base,
-            memo_fingerprint(&code, 1000, 1 << 20, true, &other, 0)
-        );
+        assert_ne!(base, memo_fingerprint(&code, 1000, 1 << 20, true, &other));
     }
 }

@@ -55,10 +55,11 @@ if [ "$a" != "$b" ]; then
     exit 1
 fi
 
-# Memo gate (E18): every engine×workload architectural digest must be
+# Memo gate (E18): every standard-engine workload digest must be
 # byte-identical with the NT-path replay cache on and off, and the cache
 # must demonstrably engage on nt-heavy (minimum hit rate) — a differential
-# that passes because the cache never fired proves nothing.
+# that passes because the cache never fired proves nothing. The cache is
+# standard-only; the CMP engine always simulates its NT-paths.
 echo "==> memo-gate: E18 replay-cache on/off digest identity + nt-heavy hit rate"
 cargo run --release --offline -q -p px-bench --bin memo_gate -- --check
 
@@ -71,5 +72,12 @@ cargo run --release --offline -q -p px-bench --bin memo_gate -- --check
 echo "==> bench-gate: schema + arch digest + per-CMP-row digests of BENCH_throughput.json"
 cargo run --release --offline -q -p px-bench --bin bench_report -- \
     --quick --verify BENCH_throughput.json
+
+# The end-to-end benchmark is its own package, outside the workspace, and
+# the only caller of several public entry points: its tests (digest pins,
+# output checks) keep an API change from breaking it with every gate above
+# still green.
+echo "==> perfbench: the benchmark package's own tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "verify: OK"

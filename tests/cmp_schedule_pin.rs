@@ -15,15 +15,20 @@
 //!   (forced commits), OS sandbox + random factor + watchdog 64,
 //!   explore-NT-from-NT, and three fault seeds;
 //! * (b) a budget sweep, 3000..=3300 instructions, on both E13 zoo
-//!   programs, where the budget cut lands on every core in turn.
+//!   programs, where the budget cut lands on every core in turn;
+//! * (c) E13's asm workloads, `nt-heavy` and `taken-stride`, at the E13
+//!   budget with K ∈ {1, 4, 16}, with and without a prime-path plan.
 //!
-//! The pinned values were derived on the engine before lookahead
-//! scheduling and must never move: any change to them is a change in what
-//! the CMP engine computes.
+//! The pinned values of (a) and (b) were derived on the engine before
+//! lookahead scheduling, and (c) on the engine that still replayed about
+//! 99% of `nt-heavy`'s NT-paths from a memo cache; now every path is
+//! simulated live, under lookahead. None may ever move: any change to them
+//! is a change in what the CMP engine computes.
 
 use std::sync::Arc;
 
 use pathexpander::{plan_paths, run_cmp, run_cmp_with, NtStop, PxConfig, PxRunResult};
+use px_bench::experiments::perf::{RUN_BUDGET, WORKLOADS};
 use px_detect::Tool;
 use px_isa::{Program, Reg};
 use px_mach::{
@@ -34,6 +39,7 @@ use px_workloads::zoo::{self, ZooSpec};
 
 const PIN_MATRIX: u64 = 0x7407_e076_1008_a027;
 const PIN_BUDGET_SWEEP: u64 = 0x9d8c_770a_38c4_5696;
+const PIN_E13_ASM: u64 = 0x921f_84fa_fc31_efe6;
 
 fn mix(h: u64, v: u64) -> u64 {
     fnv1a64(h, &v.to_le_bytes())
@@ -265,4 +271,30 @@ fn budget_sweep_full_results_are_pinned() {
         h, PIN_BUDGET_SWEEP,
         "CMP budget-sweep fold moved: {h:#018x}"
     );
+}
+
+#[test]
+fn e13_asm_full_results_are_pinned() {
+    let mut h = 0u64;
+    for (name, src) in WORKLOADS {
+        let program = px_isa::asm::assemble(src).unwrap();
+        let plan = plan_paths(&px_analyze::Analysis::of(&program).prime_paths(&program))
+            .map(Arc::new)
+            .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        for k in [1u8, 4, 16] {
+            for plan in [None, Some(plan.clone())] {
+                let px = e13(RUN_BUDGET)
+                    .with_counter_threshold(k)
+                    .with_path_plan(plan);
+                let r = run_cmp(
+                    &program,
+                    &MachConfig::default(),
+                    &px,
+                    IoState::new(Vec::new(), 0xC0FFEE),
+                );
+                h = fold(h, &r);
+            }
+        }
+    }
+    assert_eq!(h, PIN_E13_ASM, "CMP E13 asm fold moved: {h:#018x}");
 }
